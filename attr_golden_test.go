@@ -23,9 +23,8 @@ var updateAttr = flag.Bool("update-attr", false, "rewrite testdata/attr_golden.t
 
 func attrGoldenProfile(t *testing.T) (Result, *Observation) {
 	t.Helper()
-	res, ob, err := RunObserved("olden.treeadd", CPP,
-		Options{Scale: 1, FunctionalOnly: true},
-		ObserveOptions{Attr: true})
+	ob := NewObservation(ObserveOptions{Attr: true})
+	res, err := Run("olden.treeadd", CPP, Options{Scale: 1, FunctionalOnly: true, Observe: ob})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,7 +309,8 @@ func BenchmarkSimulatorThroughputObserved(b *testing.B) {
 	oo := ObserveOptions{IntervalCycles: 10000, Trace: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, ob, err := RunProgramObserved(p, CPP, Options{}, oo)
+		ob := NewObservation(oo)
+		_, err := RunProgram(p, CPP, Options{Observe: ob})
 		if err != nil {
 			b.Fatal(err)
 		}

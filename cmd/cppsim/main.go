@@ -125,20 +125,15 @@ func main() {
 		FunctionalOnly:   *functional,
 		Compressor:       scheme,
 	}
-	observing := *metricsOut != "" || *traceOut != "" || *hist || *attrOut != ""
-
-	var res cppcache.Result
-	var ob *cppcache.Observation
-	if observing {
-		res, ob, err = cppcache.RunObserved(resolved, cfg, opts, cppcache.ObserveOptions{
+	if *metricsOut != "" || *traceOut != "" || *hist || *attrOut != "" {
+		opts.Observe = cppcache.NewObservation(cppcache.ObserveOptions{
 			IntervalCycles: *interval,
 			Trace:          *traceOut != "",
 			TraceCap:       *traceCap,
 			Attr:           *attrOut != "",
 		})
-	} else {
-		res, err = cppcache.Run(resolved, cfg, opts)
 	}
+	res, err := cppcache.Run(resolved, cfg, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cppsim:", err)
 		os.Exit(1)
@@ -174,7 +169,7 @@ func main() {
 		fmt.Printf("ready queue/miss %.2f\n", res.AvgReadyQueueInMiss)
 	}
 
-	if ob != nil {
+	if ob := opts.Observe; ob != nil {
 		if *metricsOut != "" {
 			csv := ob.MetricsCSV()
 			if d := ob.TraceDropped(); d > 0 {

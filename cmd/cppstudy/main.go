@@ -27,9 +27,7 @@ import (
 
 	"cppcache"
 	"cppcache/internal/compress"
-	"cppcache/internal/cpu"
 	"cppcache/internal/isa"
-	"cppcache/internal/memsys"
 	"cppcache/internal/obs"
 	"cppcache/internal/sim"
 	"cppcache/internal/stats"
@@ -77,11 +75,10 @@ func runPhase(bench string, configs []string, interval int64, scale int, outPref
 		fmt.Fprintln(os.Stderr, "cppstudy:", err)
 		return 1
 	}
-	lat := memsys.DefaultLatencies()
 	tables := make([]*stats.Table, 0, len(configs))
 	for _, cfg := range configs {
 		rec := obs.New(obs.Config{Interval: interval})
-		r, err := sim.RunObserved(p, cfg, lat, cpu.DefaultParams(), rec)
+		r, err := sim.Run(p, cfg, sim.Options{Rec: rec})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cppstudy:", err)
 			return 1

@@ -26,7 +26,6 @@ import (
 
 	"cppcache/internal/compress"
 	"cppcache/internal/core"
-	"cppcache/internal/cpu"
 	"cppcache/internal/hier"
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
@@ -169,7 +168,9 @@ func BenchmarkInfos() []BenchmarkInfo {
 	return out
 }
 
-// Options configure a simulation run.
+// Options configure a simulation run. Every field's zero value is inert:
+// Options{} runs the benchmark at the default scale on the full pipeline,
+// unobserved and unsupervised.
 type Options struct {
 	// Scale multiplies the workload's compute phase. 0 means the
 	// experiment default (4).
@@ -185,6 +186,29 @@ type Options struct {
 	// scheme; see Compressors for the registered zoo. Selecting a
 	// non-default scheme on any other configuration is an error.
 	Compressor string
+	// Ctx, when set, cancels the run cooperatively: the simulation loops
+	// poll it every few thousand cycles/ops and abandon the run with an
+	// error wrapping Ctx.Err() when it is canceled or its deadline
+	// expires. The observatory service uses this for per-run deadlines,
+	// user cancellation and fast drain on shutdown.
+	Ctx context.Context
+	// FaultHook, when set, is invoked at the simulator's fault-injection
+	// points (every memory operation, every hierarchy fill) with a site
+	// label. It is the plumbing for the seeded chaos harness
+	// (internal/chaos): a hook that panics, stalls or cancels exercises
+	// the supervisor's failure isolation. The hook runs synchronously on
+	// the simulation goroutine; an inert hook never changes simulation
+	// results (test-enforced).
+	FaultHook func(site string)
+	// Span, when set, parents the run's lifecycle spans (workload.build
+	// with a decode cache hit/miss event, then the sim.* stage spans) on
+	// the caller's trace. nil traces nothing, at the cost of one branch
+	// per stage boundary (the span package's nil-receiver contract).
+	Span *span.Span
+	// Observe, when set, attaches the observability layer (see
+	// NewObservation) for this run. Attaching it never changes
+	// simulation results; nil allocates no recorder.
+	Observe *Observation
 }
 
 // Result reports one run.
@@ -272,53 +296,60 @@ func fromSim(r sim.Result) Result {
 
 // Run simulates the named benchmark on the given cache configuration.
 func Run(benchmark string, cfg CacheConfig, opts Options) (Result, error) {
-	scale := opts.Scale
-	if scale == 0 {
-		scale = workload.DefaultScale
-	}
-	p, err := workload.BuildShared(benchmark, scale)
+	p, err := buildProgram(benchmark, opts.Scale, opts.Span)
 	if err != nil {
 		return Result{}, err
 	}
-	return RunProgram(&Program{p: p}, cfg, opts)
+	return runProgram(p, cfg, nil, opts)
 }
 
 // RunProgram simulates a custom program (built with NewTraceBuilder) on
 // the given cache configuration.
 func RunProgram(p *Program, cfg CacheConfig, opts Options) (Result, error) {
-	lat := memsys.DefaultLatencies()
-	if opts.HalveMissPenalty {
-		lat = lat.Halved()
-	}
-	config, err := schemeQualified(cfg, opts)
+	return runProgram(p, cfg, nil, opts)
+}
+
+// RunCPPVariant simulates a benchmark on a CPP hierarchy with explicit
+// design knobs — the affiliated-line mask (the paper uses 0x1: next-line
+// pairing) and the victim-placement policy (§3.3) — for ablation studies.
+func RunCPPVariant(benchmark string, mask uint32, victimPlacement bool, opts Options) (Result, error) {
+	p, err := buildProgram(benchmark, opts.Scale, opts.Span)
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.FunctionalOnly {
-		r, err := sim.RunFunctional(p.p, config, lat)
-		if err != nil {
+	return runProgram(p, CPP, &sim.CPPKnobs{Mask: mask, VictimPlacement: victimPlacement}, opts)
+}
+
+// runProgram is the one run path behind Run, RunProgram and RunCPPVariant.
+// A Compressor is validated against cfg and composed into the
+// scheme-qualified config name the simulator understands; the default
+// scheme yields the bare name, keeping default runs byte-identical.
+func runProgram(p *Program, cfg CacheConfig, cpp *sim.CPPKnobs, opts Options) (Result, error) {
+	config := string(cfg)
+	if opts.Compressor != "" {
+		if err := sim.ValidateCompressor(config, opts.Compressor); err != nil {
 			return Result{}, err
 		}
-		return fromSim(r), nil
+		config = sim.WithCompressor(config, opts.Compressor)
 	}
-	r, err := sim.Run(p.p, config, lat, cpu.DefaultParams())
+	so := sim.Options{
+		Functional: opts.FunctionalOnly,
+		Ctx:        opts.Ctx,
+		Fault:      opts.FaultHook,
+		Span:       opts.Span,
+		CPP:        cpp,
+	}
+	if opts.HalveMissPenalty {
+		so.Lat = memsys.DefaultLatencies().Halved()
+	}
+	if opts.Observe != nil {
+		so.Rec = opts.Observe.rec
+	}
+	r, err := sim.Run(p.p, config, so)
 	if err != nil {
 		return Result{}, err
 	}
 	return fromSim(r), nil
-}
-
-// schemeQualified validates Options.Compressor against cfg and composes
-// the scheme-qualified config name the simulator understands. The default
-// scheme yields the bare name, keeping default runs byte-identical.
-func schemeQualified(cfg CacheConfig, opts Options) (string, error) {
-	if opts.Compressor == "" {
-		return string(cfg), nil
-	}
-	if err := sim.ValidateCompressor(string(cfg), opts.Compressor); err != nil {
-		return "", err
-	}
-	return sim.WithCompressor(string(cfg), opts.Compressor), nil
 }
 
 // ObserveOptions configure the observability layer of an observed run.
@@ -333,36 +364,33 @@ type ObserveOptions struct {
 	TraceCap int
 	// Attr enables the PC/region attribution profiler: L1 misses,
 	// compression-failure fill words and affiliated-prefetch hits are
-	// attributed to instruction PCs and data-address regions.
+	// attributed to instruction PCs and 4 KiB data-address regions.
 	Attr bool
-	// AttrRegionBits sets the attribution region granularity in address
-	// bits (0 = 12, i.e. 4 KiB regions).
-	AttrRegionBits int
 	// OnSnapshot, when set, receives each interval snapshot synchronously
 	// as it is taken, while the run is still in flight. The callback runs
 	// on the simulation goroutine; consumers that share the snapshot with
 	// other goroutines must do their own locking.
 	OnSnapshot func(obs.Snapshot)
-	// FaultHook, when set, is invoked at the simulator's fault-injection
-	// points (every memory operation, every hierarchy fill) with a site
-	// label. It is the plumbing for the seeded chaos harness
-	// (internal/chaos): a hook that panics, stalls or cancels exercises
-	// the supervisor's failure isolation. The hook runs synchronously on
-	// the simulation goroutine; an inert hook never changes simulation
-	// results (test-enforced).
-	FaultHook func(site string)
-	// Span, when set, parents the run's lifecycle spans (workload.build
-	// with a decode cache hit/miss event, then the sim.* stage spans) on
-	// the caller's trace. nil traces nothing, at the cost of one branch
-	// per stage boundary (the span package's nil-receiver contract).
-	Span *span.Span
 }
 
-// Observation wraps the recorder of a completed observed run and renders
-// its three products: interval metrics, the event trace and the latency
-// histograms.
+// Observation wraps the recorder of one observed run and renders its
+// three products: interval metrics, the event trace and the latency
+// histograms. Pass it to exactly one run as Options.Observe and read it
+// once the run has returned; the recorder is finished (trailing snapshot
+// emitted) even when the run fails or is canceled.
 type Observation struct {
 	rec *obs.Recorder
+}
+
+// NewObservation prepares the observability layer for one run.
+func NewObservation(oo ObserveOptions) *Observation {
+	return &Observation{rec: obs.New(obs.Config{
+		Interval:   oo.IntervalCycles,
+		Trace:      oo.Trace,
+		TraceCap:   oo.TraceCap,
+		Attr:       oo.Attr,
+		OnSnapshot: oo.OnSnapshot,
+	})}
 }
 
 // MetricsCSV renders the interval metric series as CSV with a header row.
@@ -402,78 +430,6 @@ func (o *Observation) AttrCollapsed() string { return o.rec.AttrCollapsed() }
 
 // AttrTotal returns the total attributed count of one kind.
 func (o *Observation) AttrTotal(kind obs.AttrKind) int64 { return o.rec.AttrTotal(kind) }
-
-// RunObserved is Run with the observability layer attached: interval
-// metrics, event tracing and latency histograms per ObserveOptions.
-// Attaching a recorder never changes simulation results.
-func RunObserved(benchmark string, cfg CacheConfig, opts Options, oo ObserveOptions) (Result, *Observation, error) {
-	return RunObservedContext(context.Background(), benchmark, cfg, opts, oo)
-}
-
-// RunContext is Run under a context: the simulation loops poll ctx
-// cooperatively (every few thousand cycles/ops) and abandon the run with
-// an error wrapping ctx.Err() when it is canceled or its deadline expires.
-// The observatory service uses this for per-run deadlines, user
-// cancellation and fast drain on shutdown.
-func RunContext(ctx context.Context, benchmark string, cfg CacheConfig, opts Options) (Result, error) {
-	res, _, err := RunObservedContext(ctx, benchmark, cfg, opts, ObserveOptions{})
-	return res, err
-}
-
-// RunObservedContext is RunObserved under a context (see RunContext).
-func RunObservedContext(ctx context.Context, benchmark string, cfg CacheConfig, opts Options, oo ObserveOptions) (Result, *Observation, error) {
-	scale := opts.Scale
-	if scale == 0 {
-		scale = workload.DefaultScale
-	}
-	build := oo.Span.StartChild("workload.build",
-		span.String("benchmark", benchmark), span.Int("scale", int64(scale)))
-	p, hit, err := workload.BuildSharedCached(benchmark, scale)
-	if err != nil {
-		build.End()
-		return Result{}, nil, err
-	}
-	build.Event("decode.cache", span.Bool("hit", hit))
-	build.End()
-	return RunProgramObservedContext(ctx, &Program{p: p}, cfg, opts, oo)
-}
-
-// RunProgramObserved is RunProgram with the observability layer attached.
-func RunProgramObserved(p *Program, cfg CacheConfig, opts Options, oo ObserveOptions) (Result, *Observation, error) {
-	return RunProgramObservedContext(context.Background(), p, cfg, opts, oo)
-}
-
-// RunProgramObservedContext is RunProgramObserved under a context (see
-// RunContext).
-func RunProgramObservedContext(ctx context.Context, p *Program, cfg CacheConfig, opts Options, oo ObserveOptions) (Result, *Observation, error) {
-	lat := memsys.DefaultLatencies()
-	if opts.HalveMissPenalty {
-		lat = lat.Halved()
-	}
-	rec := obs.New(obs.Config{
-		Interval:       oo.IntervalCycles,
-		Trace:          oo.Trace,
-		TraceCap:       oo.TraceCap,
-		Attr:           oo.Attr,
-		AttrRegionBits: oo.AttrRegionBits,
-		OnSnapshot:     oo.OnSnapshot,
-	})
-	config, err := schemeQualified(cfg, opts)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	sup := sim.Supervision{Ctx: ctx, Fault: oo.FaultHook, Span: oo.Span}
-	var r sim.Result
-	if opts.FunctionalOnly {
-		r, err = sim.RunFunctionalSupervised(p.p, config, lat, rec, sup)
-	} else {
-		r, err = sim.RunSupervised(p.p, config, lat, cpu.DefaultParams(), rec, sup)
-	}
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return fromSim(r), &Observation{rec: rec}, nil
-}
 
 // NewSystem builds a standalone cache hierarchy of the named configuration
 // over a fresh main memory, for word-level experimentation: Read and
@@ -530,29 +486,6 @@ func BaselineDescription() string {
 }
 
 var _ = hier.BaselineConfig // keep the dependency explicit for godoc cross-reference
-
-// RunCPPVariant simulates a benchmark on a CPP hierarchy with explicit
-// design knobs — the affiliated-line mask (the paper uses 0x1: next-line
-// pairing) and the victim-placement policy (§3.3) — for ablation studies.
-func RunCPPVariant(benchmark string, mask uint32, victimPlacement bool, opts Options) (Result, error) {
-	scale := opts.Scale
-	if scale == 0 {
-		scale = workload.DefaultScale
-	}
-	prog, err := workload.BuildShared(benchmark, scale)
-	if err != nil {
-		return Result{}, err
-	}
-	lat := memsys.DefaultLatencies()
-	if opts.HalveMissPenalty {
-		lat = lat.Halved()
-	}
-	r, err := sim.RunCPPVariant(prog, lat, cpu.DefaultParams(), mask, victimPlacement)
-	if err != nil {
-		return Result{}, err
-	}
-	return fromSim(r), nil
-}
 
 // CompressibleWordWidth reports compressibility under a generalised
 // compressed width (payloadBits low-order bits kept; the paper uses 15).

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cppcache/internal/ledger"
 )
 
 func TestConfigsAndBenchmarks(t *testing.T) {
@@ -49,6 +51,53 @@ func TestRunFunctionalOnly(t *testing.T) {
 	}
 	if res.L1Misses == 0 || res.MemTrafficWords == 0 {
 		t.Errorf("functional run missing cache stats: %+v", res)
+	}
+}
+
+// TestRunCPPVariantHonoursOptions: the ablation entry point runs on the
+// same path as Run, so every Options field applies to it and the paper's
+// knobs (0x1, true) reproduce a plain CPP run exactly.
+func TestRunCPPVariantHonoursOptions(t *testing.T) {
+	const bench = "olden.treeadd"
+	full, err := Run(bench, CPP, Options{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		opts  Options
+		check func(t *testing.T, res Result, err error)
+	}{
+		{"fpc rejected like Run", Options{Scale: 1, Compressor: "fpc"}, func(t *testing.T, _ Result, err error) {
+			_, want := Run(bench, CPP, Options{Scale: 1, Compressor: "fpc"})
+			if want == nil || err == nil || err.Error() != want.Error() {
+				t.Errorf("err = %v, want %v", err, want)
+			}
+		}},
+		{"functional only", Options{Scale: 1, FunctionalOnly: true}, func(t *testing.T, res Result, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cycles != 0 || res.L1Accesses != full.L1Accesses {
+				t.Errorf("cycles %d, L1 accesses %d; want 0 and %d", res.Cycles, res.L1Accesses, full.L1Accesses)
+			}
+		}},
+		{"paper knobs match Run", Options{Scale: 1}, func(t *testing.T, res Result, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err1 := ledger.ResultDigest(res)
+			want, err2 := ledger.ResultDigest(full)
+			if err1 != nil || err2 != nil || got != want {
+				t.Errorf("digest %s (%v), want %s (%v)", got, err1, want, err2)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := RunCPPVariant(bench, 0x1, true, c.opts)
+			c.check(t, res, err)
+		})
 	}
 }
 

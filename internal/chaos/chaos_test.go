@@ -79,9 +79,8 @@ func TestInjectedPanicIsDeterministic(t *testing.T) {
 			}
 			hits = inj.Hits()
 		}()
-		_, _, _ = cppcache.RunObservedContext(context.Background(), "olden.treeadd", cppcache.CPP,
-			cppcache.Options{Scale: 1, FunctionalOnly: true},
-			cppcache.ObserveOptions{FaultHook: inj.Hook})
+		_, _ = cppcache.Run("olden.treeadd", cppcache.CPP,
+			cppcache.Options{Scale: 1, FunctionalOnly: true, FaultHook: inj.Hook})
 		return
 	}
 	p1, h1 := run()
@@ -97,9 +96,8 @@ func TestCancelTriggerCancelsOwnRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	inj := New(Spec{CancelAfter: 100}, ctx, cancel)
-	_, _, err := cppcache.RunObservedContext(ctx, "olden.treeadd", cppcache.CPP,
-		cppcache.Options{Scale: 1, FunctionalOnly: true},
-		cppcache.ObserveOptions{FaultHook: inj.Hook})
+	_, err := cppcache.Run("olden.treeadd", cppcache.CPP,
+		cppcache.Options{Scale: 1, FunctionalOnly: true, Ctx: ctx, FaultHook: inj.Hook})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -128,16 +126,17 @@ func TestStallAbortsOnCancel(t *testing.T) {
 func TestInertHookIsByteIdentical(t *testing.T) {
 	for _, cfg := range []cppcache.CacheConfig{cppcache.CPP, cppcache.BC} {
 		for _, functional := range []bool{true, false} {
-			opts := cppcache.Options{Scale: 1, FunctionalOnly: functional}
 			oo := cppcache.ObserveOptions{IntervalCycles: 5000}
-			base, baseObs, err := cppcache.RunObserved("olden.treeadd", cfg, opts, oo)
+			baseObs := cppcache.NewObservation(oo)
+			opts := cppcache.Options{Scale: 1, FunctionalOnly: functional, Observe: baseObs}
+			base, err := cppcache.Run("olden.treeadd", cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			inj := New(Spec{Seed: 1}, nil, nil) // no triggers: inert
-			ooHook := oo
-			ooHook.FaultHook = inj.Hook
-			got, gotObs, err := cppcache.RunObserved("olden.treeadd", cfg, opts, ooHook)
+			gotObs := cppcache.NewObservation(oo)
+			opts.Observe, opts.FaultHook = gotObs, inj.Hook
+			got, err := cppcache.Run("olden.treeadd", cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -145,7 +145,7 @@ func (s *Suite) ensure(keys []runKey) error {
 			if k.halved {
 				lat = lat.Halved()
 			}
-			r, err := sim.Run(p, k.config, lat, s.opt.CPUParams)
+			r, err := sim.Run(p, k.config, sim.Options{Lat: lat, CPU: s.opt.CPUParams})
 			if err != nil {
 				return err
 			}

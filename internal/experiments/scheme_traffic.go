@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cppcache/internal/compress"
-	"cppcache/internal/memsys"
 	"cppcache/internal/sched"
 	"cppcache/internal/sim"
 	"cppcache/internal/stats"
@@ -26,7 +25,6 @@ func SchemeTraffic(scale, workers int) (*stats.Table, error) {
 	schemes := compress.Schemes()
 	benches := workload.Names()
 	t := stats.NewTable("BCC off-chip traffic ratio vs BC, per compression scheme", benches, schemes)
-	lat := memsys.DefaultLatencies()
 	err := sched.Do(context.Background(), len(benches), workers,
 		func(_ context.Context, _, j int) error {
 			// Each job owns one row; concurrent Set calls touch disjoint
@@ -36,13 +34,13 @@ func SchemeTraffic(scale, workers int) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			base, err := sim.RunFunctional(p, "BC", lat)
+			base, err := sim.Run(p, "BC", sim.Options{Functional: true})
 			if err != nil {
 				return err
 			}
 			bw := base.Mem.MemTrafficWords()
 			for _, scheme := range schemes {
-				r, err := sim.RunFunctional(p, sim.WithCompressor("BCC", scheme), lat)
+				r, err := sim.Run(p, sim.WithCompressor("BCC", scheme), sim.Options{Functional: true})
 				if err != nil {
 					return err
 				}

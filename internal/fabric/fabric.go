@@ -16,9 +16,9 @@
 // exploit.
 //
 // The package speaks only the observatory's public HTTP surface and
-// depends only on internal/backoff and the standard library, so worker
-// processes, in-process httptest workers (unit tests) and real remote
-// nodes are interchangeable.
+// depends only on internal/backoff, internal/runstate and the standard
+// library, so worker processes, in-process httptest workers (unit tests)
+// and real remote nodes are interchangeable.
 package fabric
 
 import (
@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"cppcache/internal/backoff"
+	"cppcache/internal/runstate"
 )
 
 // Defaults for Config's zero fields.
@@ -108,8 +109,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Outcome is the terminal result of one placed run. State is the run's
-// lifecycle state on the worker that finished it ("done", "failed",
-// "canceled"); Result is the raw result JSON, digestable with
+// lifecycle state (a terminal runstate.State) on the worker that
+// finished it; Result is the raw result JSON, digestable with
 // ledger.ResultDigest without re-parsing loss.
 type Outcome struct {
 	Worker   string
@@ -127,15 +128,10 @@ type Outcome struct {
 type statusView struct {
 	ID       int             `json:"id"`
 	TraceID  string          `json:"trace_id"`
-	State    string          `json:"state"`
+	State    runstate.State  `json:"state"`
 	Error    string          `json:"error"`
 	Memoized bool            `json:"memoized"`
 	Result   json.RawMessage `json:"result"`
-}
-
-// terminalState mirrors serve.RunState.Terminal without importing serve.
-func terminalState(s string) bool {
-	return s == "done" || s == "failed" || s == "canceled"
 }
 
 // errPermanent wraps worker responses that retrying cannot fix (a 400
@@ -357,12 +353,12 @@ func (c *Coordinator) Execute(ctx context.Context, specHash string, specJSON []b
 			select {
 			case <-time.After(bo.Next()):
 			case <-ctx.Done():
-				out.State = "canceled"
+				out.State = string(runstate.Canceled)
 				return out, ctx.Err()
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			out.State = "canceled"
+			out.State = string(runstate.Canceled)
 			return out, err
 		}
 		w := c.pick(candidates, attempt)
@@ -380,7 +376,7 @@ func (c *Coordinator) Execute(ctx context.Context, specHash string, specJSON []b
 			return o, err
 		}
 		if ctx.Err() != nil {
-			out.State = "canceled"
+			out.State = string(runstate.Canceled)
 			return out, ctx.Err()
 		}
 		var ce *errConn
@@ -393,7 +389,7 @@ func (c *Coordinator) Execute(ctx context.Context, specHash string, specJSON []b
 				"attempt", attempt+1, "err", err)
 		}
 	}
-	out.State = "failed"
+	out.State = string(runstate.Failed)
 	return out, fmt.Errorf("fabric: run not placed after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
 }
 
@@ -412,8 +408,8 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, specJSON []byte) (Ou
 
 	consecutiveFailures := 0
 	for {
-		if terminalState(st.State) {
-			out.State, out.Error, out.Memoized, out.Result = st.State, st.Error, st.Memoized, st.Result
+		if st.State.Terminal() {
+			out.State, out.Error, out.Memoized, out.Result = string(st.State), st.Error, st.Memoized, st.Result
 			return out, nil
 		}
 		select {
@@ -421,7 +417,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, specJSON []byte) (Ou
 			if ctx.Err() != nil {
 				// The caller canceled: tell the worker to stop, best-effort.
 				c.cancelRemote(w, out.RunID)
-				out.State = "canceled"
+				out.State = string(runstate.Canceled)
 				return out, ctx.Err()
 			}
 			// Attempt timeout: the worker may be wedged; re-place. The

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cppcache/internal/backoff"
+	"cppcache/internal/runstate"
 )
 
 // DefaultDashboardSampleInterval is the cadence of /dashboard/stream
@@ -53,7 +54,7 @@ func (s *Server) sampleFleet() dashSample {
 		MemoHits:     c.MemoHits,
 		MemoMisses:   c.MemoMisses,
 	}
-	for _, st := range States() {
+	for _, st := range runstate.All() {
 		sm.States[string(st)] = 0
 	}
 	for _, run := range s.reg.Runs() {

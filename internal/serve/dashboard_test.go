@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cppcache/internal/runstate"
 )
 
 // TestDashboardPage: the observatory page is one self-contained HTML
@@ -103,7 +105,7 @@ func TestDashboardStream(t *testing.T) {
 		if sm.T.IsZero() {
 			t.Errorf("sample %d has zero timestamp", i)
 		}
-		for _, st := range States() {
+		for _, st := range runstate.All() {
 			if _, ok := sm.States[string(st)]; !ok {
 				t.Errorf("sample %d missing state %q", i, st)
 			}

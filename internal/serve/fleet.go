@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cppcache/internal/ledger"
+	"cppcache/internal/runstate"
 )
 
 // recordTerminal builds the ledger record for a run that just reached a
@@ -198,7 +199,7 @@ func fleetFilterFromQuery(r *http.Request) (ledger.Filter, error) {
 
 // knownState reports whether s names a lifecycle state.
 func knownState(s string) bool {
-	for _, st := range States() {
+	for _, st := range runstate.All() {
 		if string(st) == s {
 			return true
 		}
@@ -208,8 +209,8 @@ func knownState(s string) bool {
 
 // stateNames lists the lifecycle states as strings.
 func stateNames() []string {
-	out := make([]string, 0, len(States()))
-	for _, st := range States() {
+	out := make([]string, 0, len(runstate.All()))
+	for _, st := range runstate.All() {
 		out = append(out, string(st))
 	}
 	return out

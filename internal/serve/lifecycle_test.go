@@ -294,9 +294,9 @@ func TestRetentionEviction(t *testing.T) {
 // through the library API.
 func TestChaosNeighbourDoesNotPerturbHealthyRun(t *testing.T) {
 	const interval = 5000
-	baseRes, baseObs, err := cppcache.RunObserved("olden.treeadd", cppcache.CPP,
-		cppcache.Options{Scale: 1, FunctionalOnly: true},
-		cppcache.ObserveOptions{IntervalCycles: interval})
+	baseObs := cppcache.NewObservation(cppcache.ObserveOptions{IntervalCycles: interval})
+	baseRes, err := cppcache.Run("olden.treeadd", cppcache.CPP,
+		cppcache.Options{Scale: 1, FunctionalOnly: true, Observe: baseObs})
 	if err != nil {
 		t.Fatal(err)
 	}

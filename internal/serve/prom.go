@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"cppcache/internal/obs"
+	"cppcache/internal/runstate"
 )
 
 // promFamily is one exported metric family: name, help, type and a getter
@@ -101,7 +102,7 @@ func writeMetrics(w *strings.Builder, runs []*Run, c Counters) {
 	}
 
 	fmt.Fprintf(w, "# HELP cppserved_runs Runs by lifecycle state.\n# TYPE cppserved_runs gauge\n")
-	for _, st := range States() {
+	for _, st := range runstate.All() {
 		fmt.Fprintf(w, "cppserved_runs{state=%q} %d\n", string(st), byState[st])
 	}
 	fmt.Fprintf(w, "# HELP cppserved_queue_depth Runs waiting for a worker slot.\n# TYPE cppserved_queue_depth gauge\n")

@@ -16,6 +16,7 @@ import (
 	"cppcache/internal/fabric"
 	"cppcache/internal/ledger"
 	"cppcache/internal/obs"
+	"cppcache/internal/runstate"
 	"cppcache/internal/sched"
 	"cppcache/internal/span"
 )
@@ -65,28 +66,16 @@ const (
 )
 
 // RunState is a job's lifecycle phase.
-type RunState string
+type RunState = runstate.State
 
-// Job lifecycle states. A run is born queued, becomes running when the
-// admission controller dispatches it, and ends in exactly one of done,
-// failed or canceled.
+// Job lifecycle states (see runstate).
 const (
-	StateQueued   RunState = "queued"
-	StateRunning  RunState = "running"
-	StateDone     RunState = "done"
-	StateFailed   RunState = "failed"
-	StateCanceled RunState = "canceled"
+	StateQueued   = runstate.Queued
+	StateRunning  = runstate.Running
+	StateDone     = runstate.Done
+	StateFailed   = runstate.Failed
+	StateCanceled = runstate.Canceled
 )
-
-// States lists every lifecycle state in order.
-func States() []RunState {
-	return []RunState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
-}
-
-// Terminal reports whether the state is final.
-func (s RunState) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
 
 // SpecError is a RunSpec validation failure, served as HTTP 400 with a
 // structured body naming the offending field.
@@ -650,11 +639,19 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 	}()
 
 	spec := run.Spec
-	oo := cppcache.ObserveOptions{
+	ob := cppcache.NewObservation(cppcache.ObserveOptions{
 		IntervalCycles: spec.Interval,
 		Attr:           spec.Attr,
 		OnSnapshot:     run.appendSnapshot,
-		Span:           run.execSp,
+	})
+	opts := cppcache.Options{
+		Scale:            spec.Scale,
+		HalveMissPenalty: spec.Halved,
+		FunctionalOnly:   spec.Functional,
+		Compressor:       spec.Compressor,
+		Ctx:              ctx,
+		Span:             run.execSp,
+		Observe:          ob,
 	}
 	if spec.Chaos != nil && spec.Chaos.Active() {
 		inj := chaos.New(*spec.Chaos, ctx, func() {
@@ -666,15 +663,9 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 		inj.SetOnFire(func(what string) {
 			run.execSp.Event("chaos.fired", span.String("what", what))
 		})
-		oo.FaultHook = inj.Hook
+		opts.FaultHook = inj.Hook
 	}
-	res, ob, err := cppcache.RunObservedContext(ctx, spec.Workload, cppcache.CacheConfig(spec.Config),
-		cppcache.Options{
-			Scale:            spec.Scale,
-			HalveMissPenalty: spec.Halved,
-			FunctionalOnly:   spec.Functional,
-			Compressor:       spec.Compressor,
-		}, oo)
+	res, err := cppcache.Run(spec.Workload, cppcache.CacheConfig(spec.Config), opts)
 	switch {
 	case err == nil:
 		run.complete(&res, ob)

@@ -33,9 +33,30 @@ func ExtraConfigs() []string { return []string{"VC", "LCC"} }
 // the line-compression scheme (see compressor.go); the built system's
 // Name() preserves the suffix.
 func NewSystem(name string, m *mem.Memory, lat memsys.Latencies) (memsys.System, error) {
+	return newSystem(name, m, lat, nil)
+}
+
+// CPPKnobs are the CPP hierarchy's design knobs varied by the §3.3
+// ablations.
+type CPPKnobs struct {
+	// Mask selects the affiliated line: affiliated(n) = n XOR Mask. The
+	// paper's 0x1 pairs each line with its neighbour.
+	Mask uint32
+	// VictimPlacement salvages an evicted primary line into its
+	// affiliated place.
+	VictimPlacement bool
+}
+
+// newSystem is NewSystem with optional CPP design knobs, which only the
+// CPP configuration accepts. Knobs other than the paper's (0x1, true) are
+// recorded in the system's name.
+func newSystem(name string, m *mem.Memory, lat memsys.Latencies, cpp *CPPKnobs) (memsys.System, error) {
 	base, canonical, comp, err := resolveConfig(name)
 	if err != nil {
 		return nil, err
+	}
+	if cpp != nil && base != "CPP" {
+		return nil, fmt.Errorf("sim: CPP design knobs given for config %s", base)
 	}
 	switch base {
 	case "BC":
@@ -59,6 +80,16 @@ func NewSystem(name string, m *mem.Memory, lat memsys.Latencies) (memsys.System,
 	case "CPP":
 		cfg := core.DefaultConfig()
 		cfg.Lat = lat
+		if cpp != nil {
+			cfg.Mask = cpp.Mask
+			cfg.VictimPlacement = cpp.VictimPlacement
+			if cpp.Mask != 1 {
+				cfg.Name = fmt.Sprintf("CPP(mask=%#x)", cpp.Mask)
+			}
+			if !cpp.VictimPlacement {
+				cfg.Name += "-novictim"
+			}
+		}
 		return core.New(cfg, m)
 	case "VC":
 		cfg := hier.VictimConfigDefault()
@@ -84,19 +115,27 @@ type Result struct {
 	Mem       memsys.Stats
 }
 
-// Run simulates the program on the named configuration with full pipeline
-// timing.
-func Run(p *workload.Program, config string, lat memsys.Latencies, params cpu.Params) (Result, error) {
-	return RunObserved(p, config, lat, params, nil)
-}
-
-// Supervision bundles the run-control concerns of a supervised simulation:
-// cooperative cancellation and deterministic fault injection. The zero
-// value supervises nothing and reproduces the plain run exactly.
-type Supervision struct {
+// Options configure one run. The zero value runs the full pipeline with
+// the paper's latencies and core parameters, unobserved and unsupervised;
+// every field's zero value is inert.
+type Options struct {
+	// Lat are the memory latencies; zero means memsys.DefaultLatencies().
+	Lat memsys.Latencies
+	// CPU are the core parameters; zero means cpu.DefaultParams().
+	CPU cpu.Params
+	// Functional replays only the memory operations of the program, in
+	// program order, with no pipeline model. It is an order of magnitude
+	// faster and produces identical traffic and miss statistics for
+	// studies that do not need cycles (which stay zero).
+	Functional bool
+	// Rec, when non-nil, observes the core and the hierarchy; it is
+	// finished (trailing snapshot emitted) before Run returns, also when
+	// the run is canceled. In functional mode the operation index stands
+	// in for time (one op per "cycle" in snapshots and traces).
+	Rec *obs.Recorder
 	// Ctx, when non-nil, cancels the run cooperatively: the main loops
 	// poll it every few thousand cycles/ops and abandon the run with
-	// ctx's error. nil means context.Background().
+	// ctx's error.
 	Ctx context.Context
 	// Fault, when non-nil, is invoked at the simulator's fault-injection
 	// points (hierarchy fills, per memory op) with a site label. The
@@ -106,16 +145,87 @@ type Supervision struct {
 	// Span, when non-nil, parents the run's stage spans (sim.build,
 	// sim.run, sim.finish), making the wall-clock split between system
 	// construction, simulation and recorder teardown visible per run.
-	// nil records nothing.
 	Span *span.Span
+	// CPP, when non-nil, sets the CPP hierarchy's design knobs for the
+	// ablation studies. Any config other than CPP rejects it.
+	CPP *CPPKnobs
 }
 
-// ctx returns the supervision context, defaulting to Background.
-func (s Supervision) ctx() context.Context {
-	if s.Ctx == nil {
-		return context.Background()
+// Run simulates the program on the named configuration. The result's
+// Config is the built system's name, which records a scheme suffix and
+// non-default CPP knobs.
+func Run(p *workload.Program, config string, o Options) (Result, error) {
+	if o.Lat == (memsys.Latencies{}) {
+		o.Lat = memsys.DefaultLatencies()
 	}
-	return s.Ctx
+	if o.CPU == (cpu.Params{}) {
+		o.CPU = cpu.DefaultParams()
+	}
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	build := o.Span.StartChild("sim.build",
+		span.String("benchmark", p.Name), span.String("config", config))
+	m := mem.New()
+	sys, err := newSystem(config, m, o.Lat, o.CPP)
+	var c *cpu.Core
+	if err == nil && !o.Functional {
+		c, err = cpu.New(o.CPU, sys)
+	}
+	if err != nil {
+		build.End()
+		return Result{}, err
+	}
+	if o.Rec != nil {
+		// Every system exposes a stats block; hierarchies implementing
+		// obs.Attachable additionally get event/fill hooks.
+		o.Rec.AttachStats(sys.Stats())
+		if a, ok := sys.(obs.Attachable); ok {
+			a.SetRecorder(o.Rec)
+		}
+	}
+	// Systems without injection points skip the hierarchy-level sites.
+	if fh, ok := sys.(faultHookable); ok && o.Fault != nil {
+		fh.SetFaultHook(o.Fault)
+	}
+	o.Rec.AttachMemPages(m.PagesTouched)
+	if c != nil {
+		c.SetRecorder(o.Rec)
+		c.SetFaultHook(o.Fault)
+	}
+	build.End()
+
+	running := o.Span.StartChild("sim.run")
+	var res cpu.Result
+	var mismatches int64
+	mode, unit, at := "", "cycle", int64(0)
+	if c != nil {
+		// The core recognises the shared pre-decoded trace's stream type
+		// and fetches straight from its struct-of-arrays buffers, which
+		// any number of concurrent runs share read-only.
+		res, err = c.RunContext(ctx, p.Replay())
+		mismatches, at = res.ValueMismatches, res.Cycles
+		running.SetAttrs(span.Int("cycles", at))
+	} else {
+		mode, unit = " (functional)", "op"
+		at, mismatches, err = replayFunctional(ctx, p, sys, o.Rec, o.Fault)
+		running.SetAttrs(span.Int("ops", at))
+	}
+	running.End()
+	finish := o.Span.StartChild("sim.finish")
+	o.Rec.Finish()
+	finish.End()
+
+	if err != nil {
+		return Result{}, fmt.Errorf("sim: %s on %s%s canceled at %s %d: %w",
+			p.Name, sys.Name(), mode, unit, at, err)
+	}
+	if mismatches > 0 {
+		return Result{}, fmt.Errorf("sim: %s on %s%s: %d load value mismatches (cache model corrupted data)",
+			p.Name, sys.Name(), mode, mismatches)
+	}
+	return Result{Benchmark: p.Name, Config: sys.Name(), CPU: res, Mem: *sys.Stats()}, nil
 }
 
 // faultHookable is implemented by hierarchies that expose fault-injection
@@ -124,140 +234,25 @@ type faultHookable interface {
 	SetFaultHook(func(site string))
 }
 
-// attachRecorder connects rec to a built system: the stats block is
-// always attached (every memsys.System exposes one), and hierarchies
-// implementing obs.Attachable additionally get event/fill hooks.
-func attachRecorder(sys memsys.System, rec *obs.Recorder) {
-	if rec == nil {
-		return
-	}
-	rec.AttachStats(sys.Stats())
-	if a, ok := sys.(obs.Attachable); ok {
-		a.SetRecorder(rec)
-	}
-}
-
-// attachFault connects the chaos fault hook to hierarchies that expose
-// injection points; other systems simply skip the hierarchy-level sites.
-func attachFault(sys memsys.System, fault func(string)) {
-	if fault == nil {
-		return
-	}
-	if fh, ok := sys.(faultHookable); ok {
-		fh.SetFaultHook(fault)
-	}
-}
-
-// RunObserved is Run with an observability recorder attached to the core
-// and the memory hierarchy. A nil recorder reproduces Run exactly. The
-// recorder is finished (trailing snapshot emitted) before returning.
-func RunObserved(p *workload.Program, config string, lat memsys.Latencies, params cpu.Params, rec *obs.Recorder) (Result, error) {
-	return RunSupervised(p, config, lat, params, rec, Supervision{})
-}
-
-// RunSupervised is RunObserved under run supervision: the context cancels
-// the pipeline loop cooperatively (the partial recorder state is still
-// finished, so any snapshots already published stay consistent) and the
-// fault hook is plumbed into the core and the hierarchy. A zero
-// Supervision reproduces RunObserved exactly.
-func RunSupervised(p *workload.Program, config string, lat memsys.Latencies, params cpu.Params, rec *obs.Recorder, sup Supervision) (Result, error) {
-	build := sup.Span.StartChild("sim.build",
-		span.String("benchmark", p.Name), span.String("config", config))
-	m := mem.New()
-	sys, err := NewSystem(config, m, lat)
-	if err != nil {
-		build.End()
-		return Result{}, err
-	}
-	c, err := cpu.New(params, sys)
-	if err != nil {
-		build.End()
-		return Result{}, err
-	}
-	attachRecorder(sys, rec)
-	attachFault(sys, sup.Fault)
-	rec.AttachMemPages(m.PagesTouched)
-	c.SetRecorder(rec)
-	c.SetFaultHook(sup.Fault)
-	build.End()
-	// Replay the shared pre-decoded trace: the core recognises the
-	// concrete stream type and fetches straight from the struct-of-arrays
-	// buffers, which any number of concurrent runs share read-only.
-	running := sup.Span.StartChild("sim.run")
-	res, runErr := c.RunContext(sup.ctx(), p.Replay())
-	running.SetAttrs(span.Int("cycles", int64(res.Cycles)))
-	running.End()
-	finish := sup.Span.StartChild("sim.finish")
-	rec.Finish()
-	finish.End()
-	if runErr != nil {
-		return Result{}, fmt.Errorf("sim: %s on %s canceled at cycle %d: %w",
-			p.Name, config, res.Cycles, runErr)
-	}
-	if res.ValueMismatches > 0 {
-		return Result{}, fmt.Errorf("sim: %s on %s: %d load value mismatches (cache model corrupted data)",
-			p.Name, config, res.ValueMismatches)
-	}
-	return Result{Benchmark: p.Name, Config: config, CPU: res, Mem: *sys.Stats()}, nil
-}
-
-// RunFunctional replays only the memory operations of the program, in
-// program order, with no pipeline model. It is an order of magnitude
-// faster than Run and produces identical traffic and miss statistics for
-// studies that do not need cycles.
-func RunFunctional(p *workload.Program, config string, lat memsys.Latencies) (Result, error) {
-	return RunFunctionalObserved(p, config, lat, nil)
-}
-
-// RunFunctionalObserved is RunFunctional with an observability recorder;
-// with no pipeline clock, the operation index stands in for time (one op
-// per "cycle" in snapshots and traces). A nil recorder reproduces
-// RunFunctional exactly.
-func RunFunctionalObserved(p *workload.Program, config string, lat memsys.Latencies, rec *obs.Recorder) (Result, error) {
-	return RunFunctionalSupervised(p, config, lat, rec, Supervision{})
-}
-
 // funcCancelCheckEvery is the cadence, in replayed memory ops, of the
 // functional loop's cooperative cancellation poll.
 const funcCancelCheckEvery = 4096
 
-// RunFunctionalSupervised is RunFunctionalObserved under run supervision:
-// the context cancels the replay loop cooperatively (polled every
-// funcCancelCheckEvery ops) and the fault hook fires once per memory op
-// plus at the hierarchy's own injection points. A zero Supervision
-// reproduces RunFunctionalObserved exactly.
-func RunFunctionalSupervised(p *workload.Program, config string, lat memsys.Latencies, rec *obs.Recorder, sup Supervision) (Result, error) {
-	build := sup.Span.StartChild("sim.build",
-		span.String("benchmark", p.Name), span.String("config", config))
-	m := mem.New()
-	sys, err := NewSystem(config, m, lat)
-	if err != nil {
-		build.End()
-		return Result{}, err
-	}
-	attachRecorder(sys, rec)
-	attachFault(sys, sup.Fault)
-	rec.AttachMemPages(m.PagesTouched)
-	build.End()
-	running := sup.Span.StartChild("sim.run")
-	// Replay the shared pre-decoded trace. The functional loop touches
-	// only four of the record's eight fields, so the struct-of-arrays
-	// buffers keep every byte it reads hot and sequential.
+// replayFunctional is the functional run's loop: the loads and stores of
+// the shared pre-decoded trace, in program order, straight into the
+// hierarchy. It returns the ops replayed and the load value mismatches,
+// or ctx's error if ctx is canceled first. The loop touches only four of
+// the record's eight fields, so the struct-of-arrays buffers keep every
+// byte it reads hot and sequential.
+func replayFunctional(ctx context.Context, p *workload.Program, sys memsys.System, rec *obs.Recorder, fault func(string)) (op, mismatches int64, err error) {
 	d := p.Decoded()
 	ops, addrs, values, pcs := d.Ops(), d.Addrs(), d.Values(), d.PCs()
-	done := sup.ctx().Done()
-	fault := sup.Fault
-	var mismatches, op int64
+	done := ctx.Done()
 	for i := range ops {
 		if done != nil && op%funcCancelCheckEvery == 0 {
 			select {
 			case <-done:
-				running.End()
-				finish := sup.Span.StartChild("sim.finish")
-				rec.Finish()
-				finish.End()
-				return Result{}, fmt.Errorf("sim: %s on %s (functional) canceled at op %d: %w",
-					p.Name, config, op, sup.ctx().Err())
+				return op, mismatches, ctx.Err()
 			default:
 			}
 		}
@@ -280,49 +275,5 @@ func RunFunctionalSupervised(p *workload.Program, config string, lat memsys.Late
 		op++
 		rec.OpTick(op)
 	}
-	running.SetAttrs(span.Int("ops", op))
-	running.End()
-	finish := sup.Span.StartChild("sim.finish")
-	rec.Finish()
-	finish.End()
-	if mismatches > 0 {
-		return Result{}, fmt.Errorf("sim: %s on %s (functional): %d load value mismatches",
-			p.Name, config, mismatches)
-	}
-	return Result{Benchmark: p.Name, Config: config, Mem: *sys.Stats()}, nil
-}
-
-// NewCPPSystem builds a CPP hierarchy with explicit design knobs: the
-// affiliated-line mask and the victim-placement policy. Used by the
-// ablation studies.
-func NewCPPSystem(m *mem.Memory, lat memsys.Latencies, mask uint32, victimPlacement bool) (memsys.System, error) {
-	cfg := core.DefaultConfig()
-	cfg.Lat = lat
-	cfg.Mask = mask
-	cfg.VictimPlacement = victimPlacement
-	if mask != 1 {
-		cfg.Name = fmt.Sprintf("CPP(mask=%#x)", mask)
-	}
-	if !victimPlacement {
-		cfg.Name += "-novictim"
-	}
-	return core.New(cfg, m)
-}
-
-// RunCPPVariant simulates a program on a CPP hierarchy with custom knobs.
-func RunCPPVariant(p *workload.Program, lat memsys.Latencies, params cpu.Params, mask uint32, victimPlacement bool) (Result, error) {
-	m := mem.New()
-	sys, err := NewCPPSystem(m, lat, mask, victimPlacement)
-	if err != nil {
-		return Result{}, err
-	}
-	c, err := cpu.New(params, sys)
-	if err != nil {
-		return Result{}, err
-	}
-	res := c.Run(p.Replay())
-	if res.ValueMismatches > 0 {
-		return Result{}, fmt.Errorf("sim: %s on %s: %d load value mismatches", p.Name, sys.Name(), res.ValueMismatches)
-	}
-	return Result{Benchmark: p.Name, Config: sys.Name(), CPU: res, Mem: *sys.Stats()}, nil
+	return op, mismatches, nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"cppcache/internal/cpu"
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
 	"cppcache/internal/workload"
@@ -50,11 +49,11 @@ func TestRunMatchesFunctionalStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := bm.Build(1)
-	full, err := Run(p, "BC", memsys.DefaultLatencies(), cpu.DefaultParams())
+	full, err := Run(p, "BC", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fun, err := RunFunctional(p, "BC", memsys.DefaultLatencies())
+	fun, err := Run(p, "BC", Options{Functional: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestRunAllConfigsVerifiesValues(t *testing.T) {
 	}
 	p := bm.Build(1)
 	for _, cfg := range Configs() {
-		if _, err := Run(p, cfg, memsys.DefaultLatencies(), cpu.DefaultParams()); err != nil {
+		if _, err := Run(p, cfg, Options{}); err != nil {
 			t.Errorf("%s: %v", cfg, err)
 		}
 	}
@@ -88,14 +87,14 @@ func TestRunAllConfigsVerifiesValues(t *testing.T) {
 func TestRunCPPVariant(t *testing.T) {
 	bm, _ := workload.ByName("olden.mst")
 	p := bm.Build(1)
-	base, err := RunCPPVariant(p, memsys.DefaultLatencies(), cpu.DefaultParams(), 0x1, true)
+	base, err := Run(p, "CPP", Options{CPP: &CPPKnobs{Mask: 0x1, VictimPlacement: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Config != "CPP" {
 		t.Errorf("default variant name = %s", base.Config)
 	}
-	v, err := RunCPPVariant(p, memsys.DefaultLatencies(), cpu.DefaultParams(), 0x2, false)
+	v, err := Run(p, "CPP", Options{CPP: &CPPKnobs{Mask: 0x2, VictimPlacement: false}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +104,9 @@ func TestRunCPPVariant(t *testing.T) {
 	if v.Mem.AffPlacements != 0 {
 		t.Error("victim placement disabled but placements recorded")
 	}
+	if _, err := Run(p, "BCC", Options{CPP: &CPPKnobs{Mask: 0x1, VictimPlacement: true}}); err == nil {
+		t.Error("CPP knobs accepted on BCC")
+	}
 }
 
 func TestBCAndBCCSameTiming(t *testing.T) {
@@ -112,11 +114,11 @@ func TestBCAndBCCSameTiming(t *testing.T) {
 	// the format in which the data is stored and transmitted."
 	bm, _ := workload.ByName("olden.perimeter")
 	p := bm.Build(1)
-	bc, err := Run(p, "BC", memsys.DefaultLatencies(), cpu.DefaultParams())
+	bc, err := Run(p, "BC", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcc, err := Run(p, "BCC", memsys.DefaultLatencies(), cpu.DefaultParams())
+	bcc, err := Run(p, "BCC", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"cppcache/internal/isa"
+	"cppcache/internal/span"
 	"cppcache/internal/trace"
 	"cppcache/internal/workload"
 )
@@ -25,13 +26,24 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 // BuildBenchmark generates one of the 14 paper workloads at the given
 // scale (0 means the experiment default).
 func BuildBenchmark(name string, scale int) (*Program, error) {
+	return buildProgram(name, scale, nil)
+}
+
+// buildProgram is BuildBenchmark under an optional parent span, which
+// gets a workload.build child recording whether the shared decoded trace
+// was already cached.
+func buildProgram(name string, scale int, parent *span.Span) (*Program, error) {
 	if scale == 0 {
 		scale = workload.DefaultScale
 	}
-	p, err := workload.BuildShared(name, scale)
+	build := parent.StartChild("workload.build",
+		span.String("benchmark", name), span.Int("scale", int64(scale)))
+	defer build.End()
+	p, hit, err := workload.BuildSharedCached(name, scale)
 	if err != nil {
 		return nil, err
 	}
+	build.Event("decode.cache", span.Bool("hit", hit))
 	return &Program{p: p}, nil
 }
 
