@@ -499,6 +499,10 @@ func TestCoherenceAcrossGeometries(t *testing.T) {
 		{2 << 10, 4, 64, 16 << 10, 8, 64, 0x1, false}, // equal line sizes
 		{8 << 10, 1, 64, 64 << 10, 2, 128, 0x3, true}, // multi-bit mask
 		{1 << 10, 1, 16, 8 << 10, 2, 32, 0x1, true},   // tiny: heavy conflicts
+		// A mask bit above the set index at both levels: the partner
+		// shares its line's set and can be the victim of its install.
+		{8 << 10, 1, 64, 64 << 10, 2, 128, 0x100, true},
+		{8 << 10, 1, 64, 64 << 10, 2, 128, 0x100, false},
 	}
 	for gi, g := range geos {
 		cfg := DefaultConfig()
