@@ -1,9 +1,13 @@
-// Package cache implements a generic set-associative, write-back,
-// write-allocate cache with per-line data storage and true-LRU
-// replacement. It is the building block for the conventional hierarchies
-// (BC, BCC, HAC and BCP's caches and prefetch buffers); the CPP compression
-// cache in internal/core uses its own line structure because it needs
-// per-word availability and compressibility state.
+// Package cache holds the simulator's one set-associative tag store and
+// the conventional cache built on it.
+//
+// Array owns tag lookup, true-LRU order and victim choice for every
+// configuration: Cache (the caches, prefetch buffers and victim cache of
+// BC, BCC, HAC, BCP and VC) keeps a line of words per slot, CPP's
+// compression cache (internal/core) keeps per-word PA/VCP/AA flag masks
+// and compressed storage, and LCC's paired-frame L1 (internal/hier) keeps
+// two line slots per frame. Cache itself is write-back and write-allocate
+// with per-line data storage.
 package cache
 
 import (
@@ -42,23 +46,16 @@ func (p Params) Validate() error {
 // Sets returns the number of sets implied by the parameters.
 func (p Params) Sets() int { return p.SizeBytes / (p.LineBytes * p.Assoc) }
 
-// Line is one resident cache line. Data holds the line's words; Tag is the
-// full line number (address / line size), which uniquely identifies the
-// line without recomputing set bits.
+// Line is the payload of one resident cache line. Data holds the line's
+// words; all lines of a cache share one backing slab.
 type Line struct {
-	Valid bool
 	Dirty bool
-	Tag   mach.Addr // line number, not just the tag bits
 	Data  []mach.Word
 	// CompHalves is tag metadata: the line's compressed size in 16-bit
 	// half-words under the scheme installed with TrackCompression, kept
 	// current across fills and word writes. 0 when untracked.
 	CompHalves int
-	used       uint64 // LRU timestamp
 }
-
-// Addr returns the base byte address of the line.
-func (l *Line) Addr(g mach.LineGeom) mach.Addr { return g.NumberToAddr(l.Tag) }
 
 // Evicted describes a line displaced by Fill or Invalidate. Data aliases a
 // scratch buffer owned by the cache: it is valid until that cache's next
@@ -73,12 +70,11 @@ type Evicted struct {
 
 // Cache is a set-associative cache. The zero value is not usable; call New.
 type Cache struct {
-	p       Params
-	geom    mach.LineGeom
-	sets    [][]Line
-	tick    uint64
-	setMask mach.Addr
-	evBuf   []mach.Word // backs Evicted.Data; see Evicted
+	p     Params
+	geom  mach.LineGeom
+	tags  Array
+	lines []Line      // payload of slot i
+	evBuf []mach.Word // backs Evicted.Data; see Evicted
 	// comp, when set by TrackCompression, maintains each line's
 	// CompHalves tag metadata.
 	comp compress.Compressor
@@ -90,19 +86,16 @@ func New(p Params) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{
-		p:       p,
-		geom:    mach.LineGeom{LineBytes: p.LineBytes},
-		setMask: mach.Addr(p.Sets() - 1),
+		p:    p,
+		geom: mach.LineGeom{LineBytes: p.LineBytes},
+		tags: NewArray(p.Sets(), p.Assoc),
 	}
-	c.sets = make([][]Line, p.Sets())
 	words := c.geom.Words()
 	c.evBuf = make([]mach.Word, words)
-	for i := range c.sets {
-		ways := make([]Line, p.Assoc)
-		for w := range ways {
-			ways[w].Data = make([]mach.Word, words)
-		}
-		c.sets[i] = ways
+	c.lines = make([]Line, c.tags.Len())
+	slab := make([]mach.Word, len(c.lines)*words)
+	for i := range c.lines {
+		c.lines[i].Data = slab[i*words : (i+1)*words : (i+1)*words]
 	}
 	return c, nil
 }
@@ -113,13 +106,11 @@ func New(p Params) (*Cache, error) {
 // tracking.
 func (c *Cache) TrackCompression(comp compress.Compressor) { c.comp = comp }
 
-// RefreshMeta recomputes a line's compression tag metadata after its Data
-// was mutated directly (the hierarchies' write-back merge paths do this).
-func (c *Cache) RefreshMeta(l *Line) { c.refreshMeta(l) }
-
-func (c *Cache) refreshMeta(l *Line) {
+// refreshMeta recomputes the compression tag metadata of line l, whose
+// base address is base, after its words changed.
+func (c *Cache) refreshMeta(l *Line, base mach.Addr) {
 	if c.comp != nil {
-		l.CompHalves = c.comp.LineHalves(l.Data, l.Addr(c.geom))
+		l.CompHalves = c.comp.LineHalves(l.Data, base)
 	}
 }
 
@@ -140,47 +131,26 @@ func (c *Cache) Geom() mach.LineGeom { return c.geom }
 
 // SetOf returns the set index for a byte address.
 func (c *Cache) SetOf(a mach.Addr) int {
-	return int(c.geom.LineNumber(a) & c.setMask)
+	return c.tags.Set(c.geom.LineNumber(a)) / c.p.Assoc
 }
 
 // Probe returns the resident line holding address a, or nil. It does not
 // touch LRU state, so it is safe for inspection.
 func (c *Cache) Probe(a mach.Addr) *Line {
-	n := c.geom.LineNumber(a)
-	set := c.sets[int(n&c.setMask)]
-	for i := range set {
-		if set[i].Valid && set[i].Tag == n {
-			return &set[i]
-		}
+	if i := c.tags.Lookup(c.geom.LineNumber(a)); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
 
 // Access is Probe plus an LRU touch on hit.
 func (c *Cache) Access(a mach.Addr) *Line {
-	l := c.Probe(a)
-	if l != nil {
-		c.tick++
-		l.used = c.tick
+	i := c.tags.Lookup(c.geom.LineNumber(a))
+	if i < 0 {
+		return nil
 	}
-	return l
-}
-
-// victim selects the replacement candidate in the set of address a:
-// an invalid way if any, else the least recently used.
-func (c *Cache) victim(a mach.Addr) *Line {
-	set := c.sets[c.SetOf(a)]
-	best := &set[0]
-	for i := range set {
-		l := &set[i]
-		if !l.Valid {
-			return l
-		}
-		if l.used < best.used {
-			best = l
-		}
-	}
-	return best
+	c.tags.Touch(i)
+	return &c.lines[i]
 }
 
 // Fill installs the line holding address a with the given words (copied),
@@ -191,32 +161,32 @@ func (c *Cache) Fill(a mach.Addr, data []mach.Word) Evicted {
 	if len(data) != c.geom.Words() {
 		panic(fmt.Sprintf("cache: Fill with %d words, line holds %d", len(data), c.geom.Words()))
 	}
-	v := c.victim(a)
+	n := c.geom.LineNumber(a)
+	i, hit := c.tags.Place(n)
+	l := &c.lines[i]
 	var ev Evicted
-	if v.Valid {
-		copy(c.evBuf, v.Data)
-		ev = Evicted{Valid: true, Dirty: v.Dirty, Tag: v.Tag, Data: c.evBuf}
+	if !hit && c.tags.Valid(i) {
+		copy(c.evBuf, l.Data)
+		ev = Evicted{Valid: true, Dirty: l.Dirty, Tag: c.tags.Tag(i), Data: c.evBuf}
 	}
-	v.Valid = true
-	v.Dirty = false
-	v.Tag = c.geom.LineNumber(a)
-	copy(v.Data, data)
-	c.refreshMeta(v)
-	c.tick++
-	v.used = c.tick
+	c.tags.Install(i, n)
+	l.Dirty = false
+	copy(l.Data, data)
+	c.refreshMeta(l, c.geom.NumberToAddr(n))
 	return ev
 }
 
 // Invalidate drops the line holding address a if resident, returning its
 // previous contents.
 func (c *Cache) Invalidate(a mach.Addr) Evicted {
-	l := c.Probe(a)
-	if l == nil {
+	i := c.tags.Lookup(c.geom.LineNumber(a))
+	if i < 0 {
 		return Evicted{}
 	}
+	l := &c.lines[i]
 	copy(c.evBuf, l.Data)
-	ev := Evicted{Valid: true, Dirty: l.Dirty, Tag: l.Tag, Data: c.evBuf}
-	l.Valid = false
+	ev := Evicted{Valid: true, Dirty: l.Dirty, Tag: c.tags.Tag(i), Data: c.evBuf}
+	c.tags.Invalidate(i)
 	l.Dirty = false
 	l.CompHalves = 0
 	return ev
@@ -240,17 +210,31 @@ func (c *Cache) WriteWord(a mach.Addr, v mach.Word) bool {
 	}
 	l.Data[c.geom.WordIndex(a)] = v
 	l.Dirty = true
-	c.refreshMeta(l)
+	c.refreshMeta(l, c.geom.LineAddr(a))
 	return true
 }
 
-// Lines calls fn for every valid line. For tests and debugging.
-func (c *Cache) Lines(fn func(setIdx int, l *Line)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid {
-				fn(s, &c.sets[s][w])
-			}
+// WriteWords merges words into the resident line holding address a,
+// starting at a's word, and marks the line dirty without touching LRU
+// state: the write-back of a smaller line from the level above. It reports
+// whether the line was resident.
+func (c *Cache) WriteWords(a mach.Addr, words []mach.Word) bool {
+	l := c.Probe(a)
+	if l == nil {
+		return false
+	}
+	copy(l.Data[c.geom.WordIndex(a):], words)
+	l.Dirty = true
+	c.refreshMeta(l, c.geom.LineAddr(a))
+	return true
+}
+
+// Lines calls fn for every valid line with its base address. For
+// diagnostics and tests.
+func (c *Cache) Lines(fn func(base mach.Addr, l *Line)) {
+	for i := range c.lines {
+		if c.tags.Valid(i) {
+			fn(c.geom.NumberToAddr(c.tags.Tag(i)), &c.lines[i])
 		}
 	}
 }
@@ -258,19 +242,19 @@ func (c *Cache) Lines(fn func(setIdx int, l *Line)) {
 // Count returns the number of valid lines.
 func (c *Cache) Count() int {
 	n := 0
-	c.Lines(func(int, *Line) { n++ })
+	c.Lines(func(mach.Addr, *Line) { n++ })
 	return n
 }
 
 // Capacity returns the number of physical frames (sets x ways).
-func (c *Cache) Capacity() int { return c.p.Sets() * c.p.Assoc }
+func (c *Cache) Capacity() int { return c.tags.Len() }
 
 // Occupancy reports the cache's physical usage under the given label.
 // Lines store words uncompressed, so every valid line occupies its full
 // two half-words per word.
 func (c *Cache) Occupancy(level string) memsys.Occupancy {
 	lines, compHalves := 0, 0
-	c.Lines(func(_ int, l *Line) {
+	c.Lines(func(_ mach.Addr, l *Line) {
 		lines++
 		compHalves += l.CompHalves
 	})

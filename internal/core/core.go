@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cppcache/internal/cache"
 	"cppcache/internal/mach"
@@ -147,93 +148,89 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 func (h *Hierarchy) Read(a mach.Addr) (mach.Word, int) {
 	a = mach.WordAlign(a)
 	h.stats.L1.Accesses++
-	n := h.l1.geom.LineNumber(a)
-	w := h.l1.geom.WordIndex(a)
+	c := h.l1
+	n := c.geom.LineNumber(a)
+	w := c.geom.WordIndex(a)
 
-	if f := h.l1.frameByTag(n); f != nil && f.pa[w] {
-		h.l1.touch(f)
-		return f.readPrimary(w, a), h.cfg.Lat.L1Hit
+	if i := c.tags.Lookup(n); i >= 0 && c.f[i].pa&bit(w) != 0 {
+		c.tags.Touch(i)
+		return c.readPrimary(i, w, a), h.cfg.Lat.L1Hit
 	}
 	// The affiliated place: frame whose primary line is n's partner.
-	if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa[w] {
-		h.l1.touch(af)
+	if i := c.tags.Lookup(n ^ h.cfg.Mask); i >= 0 && c.f[i].aa&bit(w) != 0 {
+		c.tags.Touch(i)
 		h.stats.AffHitsL1++
 		h.obs.Event(obs.EvAffHitL1, a, 0)
 		h.obs.AttrAffHit(a)
-		return af.readAff(w, a), h.cfg.Lat.AffHit
+		return c.readAff(i, w, a), h.cfg.Lat.AffHit
 	}
 
 	h.stats.L1.Misses++
 	h.obs.AttrMiss(a)
-	lat := h.fillL1(n, w)
-	f := h.l1.frameByTag(n)
-	if f == nil || !f.pa[w] {
+	i, lat := h.fillL1(n, w)
+	if c.f[i].pa&bit(w) == 0 {
 		panic("core: word absent after L1 fill")
 	}
-	return f.readPrimary(w, a), lat
+	return c.readPrimary(i, w, a), lat
 }
 
 // Write implements memsys.System.
 func (h *Hierarchy) Write(a mach.Addr, v mach.Word) int {
 	a = mach.WordAlign(a)
 	h.stats.L1.Accesses++
-	n := h.l1.geom.LineNumber(a)
-	w := h.l1.geom.WordIndex(a)
+	c := h.l1
+	n := c.geom.LineNumber(a)
+	w := c.geom.WordIndex(a)
 
-	if f := h.l1.frameByTag(n); f != nil && f.pa[w] {
-		h.l1.touch(f)
-		h.writePrimaryWord(f, w, a, v)
+	if i := c.tags.Lookup(n); i >= 0 && c.f[i].pa&bit(w) != 0 {
+		c.tags.Touch(i)
+		h.writePrimaryWord(i, w, a, v)
 		return h.cfg.Lat.L1Hit
 	}
 
-	if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa[w] {
+	if af := c.tags.Lookup(n ^ h.cfg.Mask); af >= 0 && c.f[af].aa&bit(w) != 0 {
 		// §3.3: "a write hit in the affiliated cache line will bring
 		// the line to its primary place". The promoted line keeps the
 		// words held in the affiliated place plus whatever the L2 has
 		// on chip; no memory access is needed.
-		h.l1.touch(af)
+		c.tags.Touch(af)
 		h.stats.AffHitsL1++
 		h.stats.Promotions++
 		h.obs.Event(obs.EvPromote, a, 0)
 		h.obs.AttrAffHit(a)
-		h.promoteL1(n)
-		f := h.l1.frameByTag(n)
-		if f == nil || !f.pa[w] {
+		i := h.promoteL1(n)
+		if c.f[i].pa&bit(w) == 0 {
 			panic("core: word absent after promotion")
 		}
-		h.writePrimaryWord(f, w, a, v)
+		h.writePrimaryWord(i, w, a, v)
 		return h.cfg.Lat.AffHit
 	}
 
 	h.stats.L1.Misses++
 	h.obs.AttrMiss(a)
-	lat := h.fillL1(n, w)
-	f := h.l1.frameByTag(n)
-	if f == nil || !f.pa[w] {
+	i, lat := h.fillL1(n, w)
+	if c.f[i].pa&bit(w) == 0 {
 		panic("core: word absent after L1 fill on write")
 	}
-	h.writePrimaryWord(f, w, a, v)
+	h.writePrimaryWord(i, w, a, v)
 	return lat
 }
 
-// writePrimaryWord stores v into an available primary word, handling the
-// compressible -> incompressible transition: the primary word wins the
-// full slot and the affiliated word sharing it is evicted (§3.3).
-func (h *Hierarchy) writePrimaryWord(f *frame, w int, a mach.Addr, v mach.Word) {
-	wasComp := f.pc[w]
-	f.writePrimary(w, a, v)
-	if wasComp && !f.pc[w] && f.aa[w] {
-		f.aa[w] = false
+// writePrimaryWord stores v into the available primary word w of L1 slot
+// i, counting the affiliated word it evicts if v no longer compresses.
+func (h *Hierarchy) writePrimaryWord(i, w int, a mach.Addr, v mach.Word) {
+	if h.l1.writeWord(i, w, a, v) {
 		h.stats.ConflictEvictions++
 		h.obs.Event(obs.EvCompTransition, a, 0)
 	}
-	f.dirty = true
+	h.l1.f[i].dirty = true
 }
 
 // fillL1 fetches L1 line n from the L2 side and installs it (merging into
-// a partial resident line when one exists), returning the access latency.
-// needWord is the word index that must be available afterwards.
-func (h *Hierarchy) fillL1(n mach.Addr, needWord int) int {
+// a partial resident line when one exists), returning n's L1 slot and the
+// access latency. needWord is the word index that must be available
+// afterwards.
+func (h *Hierarchy) fillL1(n mach.Addr, needWord int) (int, int) {
 	if h.fault != nil {
 		h.fault("cpp.fill-l1")
 	}
@@ -246,29 +243,30 @@ func (h *Hierarchy) fillL1(n mach.Addr, needWord int) int {
 	aff, _ := h.probeL2Into(&h.affW, n^h.cfg.Mask)
 	aff.present &= aff.comp & pl.present & pl.comp
 
-	h.installL1(n, pl, aff)
-	return lat
+	return h.installL1(n, pl, aff), lat
 }
 
 // promoteL1 moves line n from its affiliated place to its primary place,
-// combining the affiliated words with whatever the L2 holds on chip.
-func (h *Hierarchy) promoteL1(n mach.Addr) {
+// combining the affiliated words with whatever the L2 holds on chip, and
+// returns n's L1 slot.
+func (h *Hierarchy) promoteL1(n mach.Addr) int {
 	pl, _ := h.probeL2Into(&h.probeW, n) // on-chip words only; no memory access
 	// No affiliated payload accompanies a promotion: the line's partner
 	// is primary-resident in L1 (it hosted the affiliated copy), so its
 	// data must not be duplicated.
 	h.affW.reset()
-	h.installL1(n, pl, &h.affW)
+	return h.installL1(n, pl, &h.affW)
 }
 
 // installL1 installs (or merges) line n with payload pl and affiliated
-// payload aff, handling eviction, write-back and victim placement.
-func (h *Hierarchy) installL1(n mach.Addr, pl, aff *window) {
+// payload aff, handling eviction, write-back and victim placement, and
+// returns n's L1 slot.
+func (h *Hierarchy) installL1(n mach.Addr, pl, aff *window) int {
 	var affBefore int64
 	if h.obs.TraceEnabled() {
 		affBefore = h.stats.AffWordsPrefetchedL1
 	}
-	ev := h.l1.install(n, pl, aff, &h.stats.AffWordsPrefetchedL1)
+	i, ev := h.l1.install(n, pl, aff, &h.stats.AffWordsPrefetchedL1)
 	if ev != nil {
 		h.obs.Event(obs.EvEvictL1, h.l1.geom.NumberToAddr(ev.tag), b2i(ev.dirty))
 		if ev.dirty {
@@ -290,6 +288,7 @@ func (h *Hierarchy) installL1(n mach.Addr, pl, aff *window) {
 	if !pl.full() {
 		h.stats.PartialFillsL1++
 	}
+	return i
 }
 
 // b2i renders a flag as an event-aux value.
@@ -309,22 +308,14 @@ func (h *Hierarchy) writebackL1Victim(ev *evicted) {
 	N := h.l2.geom.LineNumber(base)
 	off := h.l2.geom.WordIndex(base)
 
-	if f := h.l2.frameByTag(N); f != nil {
-		for i := range ev.vals {
-			if !ev.has(i) {
-				continue
-			}
-			j := off + i
-			a := base + mach.Addr(i*mach.WordBytes)
-			wasComp := f.pc[j]
-			f.pa[j] = true
-			f.writePrimary(j, a, ev.vals[i])
-			if wasComp && !f.pc[j] && f.aa[j] {
-				f.aa[j] = false
+	if i := h.l2.tags.Lookup(N); i >= 0 {
+		for m := ev.present; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			if h.l2.writeWord(i, off+w, base+mach.Addr(w*mach.WordBytes), ev.vals[w]) {
 				h.stats.ConflictEvictions++
 			}
 		}
-		f.dirty = true
+		h.l2.f[i].dirty = true
 		return
 	}
 
@@ -338,27 +329,19 @@ func (h *Hierarchy) writebackL1Victim(ev *evicted) {
 	h.stats.L1WbOffChip++
 	pl := &h.wbPl
 	pl.reset()
-	for i := range ev.vals {
-		if !ev.has(i) {
-			continue
-		}
-		j := off + i
-		a := base + mach.Addr(i*mach.WordBytes)
-		pl.set(j, ev.vals[i], compressibleAt(ev.vals[i], a))
+	for m := ev.present; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		pl.set(off+w, ev.vals[w], ev.comp&bit(w) != 0)
 	}
 	h.wbAff.reset()
-	h.installL2(N, pl, &h.wbAff)
-	f := h.l2.frameByTag(N)
-	if f == nil {
-		panic("core: L2 frame absent after write-back allocation")
-	}
-	f.dirty = true
+	i := h.installL2(N, pl, &h.wbAff)
+	h.l2.f[i].dirty = true
 }
 
 // installL2 installs (or merges) L2 line N, handling the victim's
-// write-back and affiliated placement. Shared by the memory-fetch and
-// write-back-allocate paths.
-func (h *Hierarchy) installL2(N mach.Addr, pl, aff *window) {
+// write-back and affiliated placement, and returns N's L2 slot. Shared by
+// the memory-fetch and write-back-allocate paths.
+func (h *Hierarchy) installL2(N mach.Addr, pl, aff *window) int {
 	if h.fault != nil {
 		h.fault("cpp.install-l2")
 	}
@@ -366,7 +349,7 @@ func (h *Hierarchy) installL2(N mach.Addr, pl, aff *window) {
 	if h.obs.TraceEnabled() {
 		affBefore = h.stats.AffWordsPrefetchedL2
 	}
-	ev := h.l2.install(N, pl, aff, &h.stats.AffWordsPrefetchedL2)
+	i, ev := h.l2.install(N, pl, aff, &h.stats.AffWordsPrefetchedL2)
 	if ev != nil {
 		h.obs.Event(obs.EvEvictL2, h.l2.geom.NumberToAddr(ev.tag), b2i(ev.dirty))
 		if ev.dirty {
@@ -385,4 +368,5 @@ func (h *Hierarchy) installL2(N mach.Addr, pl, aff *window) {
 			h.obs.Event(obs.EvAffPrefetch, h.l2.geom.NumberToAddr(N^h.cfg.Mask), d)
 		}
 	}
+	return i
 }

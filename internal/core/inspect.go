@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"cppcache/internal/mach"
 	"cppcache/internal/memsys"
 )
@@ -40,40 +42,22 @@ func (h *Hierarchy) levelCPC(level int) *cpc {
 // live.
 func (h *Hierarchy) Occupancies() []memsys.Occupancy {
 	out := make([]memsys.Occupancy, 0, 2)
-	for level, name := range map[int]string{1: "L1", 2: "L2"} {
-		c := h.levelCPC(level)
-		words := c.geom.Words()
+	for level, name := range []string{"L1", "L2"} {
+		c := h.levelCPC(level + 1)
 		occ := memsys.Occupancy{
 			Level:   name,
-			LineCap: c.p.Sets() * c.p.Assoc,
-			HalfCap: c.p.Sets() * c.p.Assoc * words * 2,
+			LineCap: c.tags.Len(),
+			HalfCap: c.tags.Len() * c.words * 2,
 		}
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				f := &c.sets[s][w]
-				if !f.valid {
-					continue
-				}
-				occ.Lines++
-				for i := range f.pa {
-					if f.pa[i] {
-						if f.pc[i] {
-							occ.Halves++
-						} else {
-							occ.Halves += 2
-						}
-					}
-					if f.aa[i] {
-						occ.Halves++
-					}
-				}
+		for i := range c.f {
+			if !c.tags.Valid(i) {
+				continue
 			}
+			f := &c.f[i]
+			occ.Lines++
+			occ.Halves += bits.OnesCount64(f.pa&f.pc) + 2*bits.OnesCount64(f.pa&^f.pc) + bits.OnesCount64(f.aa)
 		}
 		out = append(out, occ)
-	}
-	// Map iteration order is random; keep L1 first.
-	if out[0].Level != "L1" {
-		out[0], out[1] = out[1], out[0]
 	}
 	return out
 }
@@ -82,19 +66,15 @@ func (h *Hierarchy) Occupancies() []memsys.Occupancy {
 // (1 or 2) with its byte address and decompressed value.
 func (h *Hierarchy) AffWords(level int, fn func(a mach.Addr, v mach.Word)) {
 	c := h.levelCPC(level)
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			f := &c.sets[s][w]
-			if !f.valid {
-				continue
-			}
-			partner := f.tag ^ c.mask
-			for i, aa := range f.aa {
-				if aa {
-					a := c.wordAddr(partner, i)
-					fn(a, f.readAff(i, a))
-				}
-			}
+	for i := range c.f {
+		if !c.tags.Valid(i) {
+			continue
+		}
+		partner := c.tags.Tag(i) ^ c.mask
+		for m := c.f[i].aa; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			a := c.wordAddr(partner, w)
+			fn(a, c.readAff(i, w, a))
 		}
 	}
 }
@@ -104,10 +84,9 @@ func (h *Hierarchy) AffWords(level int, fn func(a mach.Addr, v mach.Word)) {
 // LRU state.
 func (h *Hierarchy) PrimaryProbe(level int, a mach.Addr) (mach.Word, bool) {
 	c := h.levelCPC(level)
-	n := c.geom.LineNumber(a)
 	w := c.geom.WordIndex(a)
-	if f := c.frameByTag(n); f != nil && f.pa[w] {
-		return f.readPrimary(w, a), true
+	if i := c.tags.Lookup(c.geom.LineNumber(a)); i >= 0 && c.f[i].pa&bit(w) != 0 {
+		return c.readPrimary(i, w, a), true
 	}
 	return 0, false
 }
@@ -122,29 +101,22 @@ func (h *Hierarchy) PrimaryProbe(level int, a mach.Addr) (mach.Word, bool) {
 //   - "aa-orphan": set an AA flag on a slot whose primary word is not
 //     stored compressed, breaking the structural storage rule.
 func (h *Hierarchy) CorruptForTest(kind string) bool {
+	if kind != "aff-word" && kind != "aa-orphan" {
+		panic("core: unknown corruption kind " + kind)
+	}
 	for _, c := range []*cpc{h.l1, h.l2} {
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				f := &c.sets[s][w]
-				if !f.valid {
-					continue
-				}
-				for i := range f.pa {
-					switch kind {
-					case "aff-word":
-						if f.aa[i] {
-							f.ad16[i] ^= 0x1 // stays compressible, wrong value
-							return true
-						}
-					case "aa-orphan":
-						if f.pa[i] && !f.pc[i] && !f.aa[i] {
-							f.aa[i] = true
-							return true
-						}
-					default:
-						panic("core: unknown corruption kind " + kind)
-					}
-				}
+		for i := range c.f {
+			if !c.tags.Valid(i) {
+				continue
+			}
+			f := &c.f[i]
+			if kind == "aff-word" && f.aa != 0 {
+				c.ad16[i*c.words+bits.TrailingZeros64(f.aa)] ^= 0x1 // stays compressible, wrong value
+				return true
+			}
+			if m := f.pa &^ f.pc &^ f.aa; kind == "aa-orphan" && m != 0 {
+				f.aa |= m & -m
+				return true
 			}
 		}
 	}

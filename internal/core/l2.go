@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"cppcache/internal/mach"
 	"cppcache/internal/obs"
 )
@@ -14,32 +16,26 @@ import (
 // Hierarchy's scratch windows; the filled window is returned for
 // convenience.
 func (h *Hierarchy) probeL2Into(dst *window, n mach.Addr) (*window, bool) {
-	words := h.l1.geom.Words()
+	c := h.l2
 	dst.reset()
 	base := h.l1.geom.NumberToAddr(n)
-	N := h.l2.geom.LineNumber(base)
-	off := h.l2.geom.WordIndex(base)
+	N := c.geom.LineNumber(base)
+	off := c.geom.WordIndex(base)
+	span := lowBits(h.l1.geom.Words())
 
-	if f := h.l2.frameByTag(N); f != nil {
-		for i := 0; i < words; i++ {
-			j := off + i
-			if !f.pa[j] {
-				continue
-			}
-			a := base + mach.Addr(i*mach.WordBytes)
-			dst.set(i, f.readPrimary(j, a), f.pc[j])
+	if i := c.tags.Lookup(N); i >= 0 {
+		for m := (c.f[i].pa >> uint(off)) & span; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			j := off + w
+			dst.set(w, c.readPrimary(i, j, base+mach.Addr(w*mach.WordBytes)), c.f[i].pc&bit(j) != 0)
 		}
 		return dst, false
 	}
-	if af := h.l2.frameByTag(N ^ h.cfg.Mask); af != nil {
-		for i := 0; i < words; i++ {
-			j := off + i
-			if !af.aa[j] {
-				continue
-			}
-			a := base + mach.Addr(i*mach.WordBytes)
+	if i := c.tags.Lookup(N ^ h.cfg.Mask); i >= 0 {
+		for m := (c.f[i].aa >> uint(off)) & span; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
 			// Affiliated words are compressible by construction.
-			dst.set(i, af.readAff(j, a), true)
+			dst.set(w, c.readAff(i, off+w, base+mach.Addr(w*mach.WordBytes)), true)
 		}
 	}
 	return dst, true
@@ -75,14 +71,11 @@ func (h *Hierarchy) serveFromL2(n mach.Addr, needWord int) (*window, int) {
 
 // touchL2 refreshes LRU state for the frame serving L1 line n.
 func (h *Hierarchy) touchL2(n mach.Addr) {
-	base := h.l1.geom.NumberToAddr(n)
-	N := h.l2.geom.LineNumber(base)
-	if f := h.l2.frameByTag(N); f != nil {
-		h.l2.touch(f)
-		return
-	}
-	if af := h.l2.frameByTag(N ^ h.cfg.Mask); af != nil {
-		h.l2.touch(af)
+	N := h.l2.geom.LineNumber(h.l1.geom.NumberToAddr(n))
+	if i := h.l2.tags.Lookup(N); i >= 0 {
+		h.l2.tags.Touch(i)
+	} else if i := h.l2.tags.Lookup(N ^ h.cfg.Mask); i >= 0 {
+		h.l2.tags.Touch(i)
 	}
 }
 
@@ -136,20 +129,12 @@ func (h *Hierarchy) fetchL2FromMem(N mach.Addr) {
 func (h *Hierarchy) writebackL2Victim(ev *evicted) {
 	h.stats.L2.Writebacks++
 	base := h.l2.geom.NumberToAddr(ev.tag)
-	var halves int64
-	for i := range ev.vals {
-		if !ev.has(i) {
-			continue
-		}
-		a := base + mach.Addr(i*mach.WordBytes)
-		h.mem.WriteWord(a, ev.vals[i])
-		if compressibleAt(ev.vals[i], a) {
-			halves++
-		} else {
-			halves += 2
-		}
+	for m := ev.present; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		h.mem.WriteWord(base+mach.Addr(w*mach.WordBytes), ev.vals[w])
 	}
-	h.stats.MemWriteHalves += halves
+	// A compressible word costs one half-word on the bus, any other two.
+	h.stats.MemWriteHalves += int64(2*bits.OnesCount64(ev.present) - bits.OnesCount64(ev.present&ev.comp))
 }
 
 // CheckInvariants validates the structural invariants of both levels plus
@@ -166,19 +151,17 @@ func (h *Hierarchy) CheckInvariants() error {
 // data wins. Diagnostic only: traffic is not accounted.
 func (h *Hierarchy) Drain() {
 	flush := func(c *cpc) {
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				f := &c.sets[s][w]
-				if !f.valid || !f.dirty {
-					continue
-				}
-				for i, p := range f.pa {
-					if p {
-						h.mem.WriteWord(c.wordAddr(f.tag, i), f.readPrimary(i, c.wordAddr(f.tag, i)))
-					}
-				}
-				f.dirty = false
+		for i := range c.f {
+			f := &c.f[i]
+			if !c.tags.Valid(i) || !f.dirty {
+				continue
 			}
+			for m := f.pa; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros64(m)
+				a := c.wordAddr(c.tags.Tag(i), w)
+				h.mem.WriteWord(a, c.readPrimary(i, w, a))
+			}
+			f.dirty = false
 		}
 	}
 	// L2 first, then L1 overwrites with fresher words.

@@ -180,14 +180,9 @@ func (h *Standard) memWriteback(base mach.Addr, words []mach.Word) {
 func (h *Standard) l2Writeback(ev cache.Evicted) {
 	h.stats.L1.Writebacks++
 	base := h.g1.NumberToAddr(ev.Tag)
-	if l2line := h.l2.Probe(base); l2line != nil {
-		off := h.g2.WordIndex(base)
-		copy(l2line.Data[off:off+len(ev.Data)], ev.Data)
-		l2line.Dirty = true
-		h.l2.RefreshMeta(l2line) // the merge changed the line's compressed size
-		return
+	if !h.l2.WriteWords(base, ev.Data) {
+		h.memWriteback(base, ev.Data)
 	}
-	h.memWriteback(base, ev.Data)
 }
 
 // fillL2 installs an L2 line fetched from memory, handling the victim.
@@ -276,15 +271,14 @@ func (h *Standard) Write(a mach.Addr, v mach.Word) int {
 // Drain flushes every dirty line down to memory. Used by tests to compare
 // the hierarchy's final state against a reference memory image.
 func (h *Standard) Drain() {
-	h.l1.Lines(func(_ int, l *cache.Line) {
+	h.l1.Lines(func(base mach.Addr, l *cache.Line) {
 		if l.Dirty {
-			h.mem.WriteLine(l.Addr(h.g1), l.Data) // bypass traffic accounting: diagnostic flush
+			h.mem.WriteLine(base, l.Data) // bypass traffic accounting: diagnostic flush
 			l.Dirty = false
 		}
 	})
-	h.l2.Lines(func(_ int, l *cache.Line) {
+	h.l2.Lines(func(base mach.Addr, l *cache.Line) {
 		if l.Dirty {
-			base := l.Addr(h.g2)
 			// L1 held fresher data for any line it owned; only write L2
 			// words whose line is not dirty in L1. The L1 pass above
 			// already cleaned those, so a straight write is stale for

@@ -22,7 +22,8 @@ import (
 // prefetching. LCC exists here to let that comparison be measured.
 //
 // The L1 is modelled with paired frames: each physical frame can hold one
-// uncompressed line or two fully-compressible lines. The L2 and memory
+// uncompressed line or two fully-compressible lines, as two slots of the
+// shared tag store (cache.Array). The L2 and memory
 // interface follow the baseline (with compressed bus transfers, since the
 // hardware has compressors anyway).
 type LCC struct {
@@ -38,6 +39,9 @@ type LCC struct {
 	// obs, when non-nil, receives fill-word compressibility counts and
 	// attribution events; a nil recorder costs one branch per hook.
 	obs *obs.Recorder
+
+	// fetchBuf stages one L2 line read from memory; l2.Fill copies it.
+	fetchBuf []mach.Word
 }
 
 var _ memsys.System = (*LCC)(nil)
@@ -73,6 +77,7 @@ func NewLCC(cfg Config, m *mem.Memory) (*LCC, error) {
 		g2:   mach.LineGeom{LineBytes: cfg.L2.LineBytes},
 		comp: comp,
 	}
+	h.fetchBuf = make([]mach.Word, h.g2.Words())
 	return h, nil
 }
 
@@ -90,62 +95,39 @@ func (h *LCC) SetRecorder(r *obs.Recorder) {
 	r.AttachStats(&h.stats)
 }
 
-// lccLine is one resident line within a shared frame.
-type lccLine struct {
-	valid      bool
-	dirty      bool
-	tag        mach.Addr // line number
-	compressed bool      // stored in 16-bit form (all words compressible)
-	used       uint64
-	data       []mach.Word // logical values
-}
-
-// lccFrame holds one uncompressed line or two compressed ones.
-type lccFrame struct {
-	lines [2]lccLine
-}
-
+// lccArray is the LCC L1 on the shared tag store, with two slots per
+// frame: frame f of a set owns slots 2f and 2f+1, so a slot's frame-mate
+// is slot^1. Each frame holds one uncompressed line or two compressed
+// ones.
 type lccArray struct {
-	p       cache.Params
-	geom    mach.LineGeom
-	setMask mach.Addr
-	sets    [][]lccFrame
-	tick    uint64
-	comp    compress.Compressor
+	p     cache.Params
+	geom  mach.LineGeom
+	tags  cache.Array
+	slots []lccSlot // payload of slot i
+	comp  compress.Compressor
+}
+
+// lccSlot is the payload of one line slot.
+type lccSlot struct {
+	dirty      bool
+	compressed bool        // stored in 16-bit form (all words compressible)
+	data       []mach.Word // logical values
 }
 
 func newLCCArray(p cache.Params, comp compress.Compressor) *lccArray {
 	a := &lccArray{
-		p:       p,
-		geom:    mach.LineGeom{LineBytes: p.LineBytes},
-		setMask: mach.Addr(p.Sets() - 1),
-		comp:    comp,
+		p:    p,
+		geom: mach.LineGeom{LineBytes: p.LineBytes},
+		tags: cache.NewArray(p.Sets(), 2*p.Assoc),
+		comp: comp,
 	}
-	a.sets = make([][]lccFrame, p.Sets())
-	for i := range a.sets {
-		frames := make([]lccFrame, p.Assoc)
-		for f := range frames {
-			for s := range frames[f].lines {
-				frames[f].lines[s].data = make([]mach.Word, a.geom.Words())
-			}
-		}
-		a.sets[i] = frames
+	words := a.geom.Words()
+	a.slots = make([]lccSlot, a.tags.Len())
+	slab := make([]mach.Word, len(a.slots)*words)
+	for i := range a.slots {
+		a.slots[i].data = slab[i*words : (i+1)*words : (i+1)*words]
 	}
 	return a
-}
-
-// find returns the resident copy of line n, or nil.
-func (a *lccArray) find(n mach.Addr) *lccLine {
-	set := a.sets[int(n&a.setMask)]
-	for f := range set {
-		for s := range set[f].lines {
-			l := &set[f].lines[s]
-			if l.valid && l.tag == n {
-				return l
-			}
-		}
-	}
-	return nil
 }
 
 // lineCompressible reports whether the line fits a half frame under the
@@ -156,106 +138,99 @@ func (a *lccArray) lineCompressible(data []mach.Word, base mach.Addr) bool {
 	return a.comp.LineHalves(data, base) <= len(data)
 }
 
-// install places line n, evicting as required by the sharing rule. It
-// returns the evicted lines (0..2) for write-back.
-func (a *lccArray) install(n mach.Addr, data []mach.Word, sharedCtr *int64) []lccLine {
-	base := a.geom.NumberToAddr(n)
-	comp := a.lineCompressible(data, base)
-	set := a.sets[int(n&a.setMask)]
+func (a *lccArray) fill(i int, n mach.Addr, data []mach.Word, comp bool) {
+	a.tags.Install(i, n)
+	a.slots[i].dirty = false
+	a.slots[i].compressed = comp
+	copy(a.slots[i].data, data)
+}
 
-	a.tick++
+// newest returns the most recent use of the frame starting at slot f, 0
+// when both its slots are empty.
+func (a *lccArray) newest(f int) uint64 {
+	u := uint64(0)
+	for i := f; i < f+2; i++ {
+		if a.tags.Valid(i) && a.tags.Stamp(i) > u {
+			u = a.tags.Stamp(i)
+		}
+	}
+	return u
+}
 
-	// Prefer a frame slot that costs nothing: an invalid slot in a frame
-	// whose other slot is compressible (when we are too), or a fully
-	// invalid frame.
+// install places line n in the L1, evicting as the sharing rule requires;
+// evicted dirty lines are written back before their slot is reused.
+func (h *LCC) install(n mach.Addr, data []mach.Word) {
+	a := h.l1
+	comp := a.lineCompressible(data, a.geom.NumberToAddr(n))
+	set, end := a.tags.Set(n), a.tags.Set(n)+2*a.p.Assoc
+
+	// Prefer a slot that costs nothing: an invalid slot whose frame-mate
+	// is compressible (when we are too), or a fully invalid frame.
 	if comp {
-		for f := range set {
-			fr := &set[f]
-			for s := range fr.lines {
-				other := &fr.lines[1-s]
-				l := &fr.lines[s]
-				if !l.valid && (!other.valid || other.compressed) {
-					a.fill(l, n, data, true)
-					if other.valid && sharedCtr != nil {
-						*sharedCtr++
-					}
-					return nil
+		for i := set; i < end; i++ {
+			mate := i ^ 1
+			if !a.tags.Valid(i) && (!a.tags.Valid(mate) || a.slots[mate].compressed) {
+				a.fill(i, n, data, true)
+				if a.tags.Valid(mate) {
+					h.stats.AffWordsPrefetchedL1++
 				}
+				return
 			}
 		}
 	} else {
-		for f := range set {
-			fr := &set[f]
-			if !fr.lines[0].valid && !fr.lines[1].valid {
-				a.fill(&fr.lines[0], n, data, false)
-				return nil
+		for f := set; f < end; f += 2 {
+			if !a.tags.Valid(f) && !a.tags.Valid(f+1) {
+				a.fill(f, n, data, false)
+				return
 			}
 		}
 	}
 
 	// Evict from the LRU frame (by its most recent use).
-	victim := &set[0]
-	vUsed := victim.newest()
-	for f := 1; f < len(set); f++ {
-		if u := set[f].newest(); u < vUsed {
-			victim, vUsed = &set[f], u
+	victim, vUsed := set, a.newest(set)
+	for f := set + 2; f < end; f += 2 {
+		if u := a.newest(f); u < vUsed {
+			victim, vUsed = f, u
 		}
 	}
-	var evicted []lccLine
 	if comp {
 		// A compressed newcomer can share the victim frame with one
 		// resident compressed line, evicting at most the other slot.
-		for s := range victim.lines {
-			other := &victim.lines[1-s]
-			if other.valid && !other.compressed {
+		// When both slots hold compressed lines, the more recently used
+		// of the two is the one evicted.
+		for i := victim; i < victim+2; i++ {
+			mate := i ^ 1
+			if a.tags.Valid(mate) && !a.slots[mate].compressed {
 				continue
 			}
-			l := &victim.lines[s]
-			if l.valid {
-				if other.valid && other.used > l.used {
-					continue // prefer evicting the older slot
+			if a.tags.Valid(i) {
+				if a.tags.Valid(mate) && a.tags.Stamp(mate) > a.tags.Stamp(i) {
+					continue
 				}
-				cp := *l
-				cp.data = append([]mach.Word(nil), l.data...)
-				evicted = append(evicted, cp)
-				l.valid = false
+				h.evictL1(i, false)
 			}
-			a.fill(l, n, data, true)
-			if other.valid && sharedCtr != nil {
-				*sharedCtr++
+			a.fill(i, n, data, true)
+			if a.tags.Valid(mate) {
+				h.stats.AffWordsPrefetchedL1++
 			}
-			return evicted
+			return
 		}
 	}
-	for s := range victim.lines {
-		if victim.lines[s].valid {
-			cp := victim.lines[s]
-			cp.data = append([]mach.Word(nil), victim.lines[s].data...)
-			evicted = append(evicted, cp)
-			victim.lines[s].valid = false
+	for i := victim; i < victim+2; i++ {
+		if a.tags.Valid(i) {
+			h.evictL1(i, false)
 		}
 	}
-	a.fill(&victim.lines[0], n, data, comp)
-	return evicted
+	a.fill(victim, n, data, comp)
 }
 
-func (a *lccArray) fill(l *lccLine, n mach.Addr, data []mach.Word, comp bool) {
-	l.valid = true
-	l.dirty = false
-	l.tag = n
-	l.compressed = comp
-	copy(l.data, data)
-	l.used = a.tick
-}
-
-func (f *lccFrame) newest() uint64 {
-	u := uint64(0)
-	for s := range f.lines {
-		if f.lines[s].valid && f.lines[s].used > u {
-			u = f.lines[s].used
-		}
+// evictL1 empties L1 slot i, writing its line back when dirty or when
+// always is set.
+func (h *LCC) evictL1(i int, always bool) {
+	if always || h.l1.slots[i].dirty {
+		h.writeback(h.l1.tags.Tag(i), h.l1.slots[i].data)
 	}
-	return u
+	h.l1.tags.Invalidate(i)
 }
 
 // access is the shared read/write path.
@@ -265,63 +240,45 @@ func (h *LCC) access(a mach.Addr, write bool, v mach.Word) (mach.Word, int) {
 	n := h.g1.LineNumber(a)
 	w := h.g1.WordIndex(a)
 
-	l := h.l1.find(n)
+	i := h.l1.tags.Lookup(n)
 	lat := h.cfg.Lat.L1Hit
-	if l == nil {
+	if i < 0 {
 		h.stats.L1.Misses++
 		h.obs.AttrMiss(a)
 		lat = h.fetch(n)
-		l = h.l1.find(n)
-		if l == nil {
+		if i = h.l1.tags.Lookup(n); i < 0 {
 			panic("hier: LCC line absent after fetch")
 		}
 	}
-	h.l1.tick++
-	l.used = h.l1.tick
+	h.l1.tags.Touch(i)
+	l := &h.l1.slots[i]
 	if write {
 		l.data[w] = v
 		l.dirty = true
 		// A write that breaks the line's compressed fit forces it back
-		// to uncompressed form; its frame-mate is evicted (written back
-		// if dirty), exactly the all-or-nothing cost the paper contrasts
-		// CPP against. Word-capable schemes (the paper's) answer with an
-		// O(1) per-word check; line-granular schemes recompress the line.
+		// to uncompressed form; its frame-mate is evicted (and written
+		// back, dirty or not), exactly the all-or-nothing cost the paper
+		// contrasts CPP against. Word-capable schemes (the paper's)
+		// answer with an O(1) per-word check; line-granular schemes
+		// recompress the line.
 		if l.compressed {
 			still := false
 			if wc, ok := h.comp.(compress.WordCompressor); ok {
 				still = wc.CompressibleWord(v, a)
 			} else {
-				still = h.l1.lineCompressible(l.data, h.g1.NumberToAddr(l.tag))
+				still = h.l1.lineCompressible(l.data, h.g1.NumberToAddr(n))
 			}
 			if !still {
 				l.compressed = false
-				h.evictFrameMate(n)
+				if h.l1.tags.Valid(i ^ 1) {
+					h.evictL1(i^1, true)
+					h.stats.ConflictEvictions++
+				}
 			}
 		}
 		return 0, lat
 	}
 	return l.data[w], lat
-}
-
-// evictFrameMate pushes out the line sharing n's frame, if any.
-func (h *LCC) evictFrameMate(n mach.Addr) {
-	set := h.l1.sets[int(n&h.l1.setMask)]
-	for f := range set {
-		fr := &set[f]
-		for s := range fr.lines {
-			if fr.lines[s].valid && fr.lines[s].tag == n {
-				mate := &fr.lines[1-s]
-				if mate.valid {
-					cp := *mate
-					cp.data = append([]mach.Word(nil), mate.data...)
-					mate.valid = false
-					h.writeback(cp)
-					h.stats.ConflictEvictions++
-				}
-				return
-			}
-		}
-	}
 }
 
 // fetch brings line n in from the L2 (or memory) and installs it.
@@ -332,7 +289,7 @@ func (h *LCC) fetch(n mach.Addr) int {
 	l2line := h.l2.Access(base)
 	if l2line == nil {
 		h.stats.L2.Misses++
-		data := make([]mach.Word, h.g2.Words())
+		data := h.fetchBuf
 		l2base := h.g2.LineAddr(base)
 		h.mem.ReadLine(l2base, data)
 		h.stats.MemReadHalves += int64(h.comp.LineHalves(data, l2base))
@@ -348,29 +305,22 @@ func (h *LCC) fetch(n mach.Addr) int {
 		l2line = h.l2.Probe(base)
 		lat = h.cfg.Lat.Mem
 	}
+	// The window aliases the L2 line. Write-backs of L1 victims during
+	// install touch other L1 lines' words only, never this window.
 	off := h.g2.WordIndex(base)
-	window := append([]mach.Word(nil), l2line.Data[off:off+h.g1.Words()]...)
-	for _, ev := range h.l1.install(n, window, &h.stats.AffWordsPrefetchedL1) {
-		if ev.dirty {
-			h.writeback(ev)
-		}
-	}
+	h.install(n, l2line.Data[off:off+h.g1.Words()])
 	return lat
 }
 
-// writeback merges a dirty L1 line into the L2, or memory if absent.
-func (h *LCC) writeback(l lccLine) {
+// writeback merges L1 line n's words into the L2, or memory if absent.
+func (h *LCC) writeback(n mach.Addr, data []mach.Word) {
 	h.stats.L1.Writebacks++
-	base := h.g1.NumberToAddr(l.tag)
-	if l2line := h.l2.Probe(base); l2line != nil {
-		off := h.g2.WordIndex(base)
-		copy(l2line.Data[off:off+len(l.data)], l.data)
-		l2line.Dirty = true
-		h.l2.RefreshMeta(l2line)
+	base := h.g1.NumberToAddr(n)
+	if h.l2.WriteWords(base, data) {
 		return
 	}
-	h.mem.WriteLine(base, l.data)
-	h.stats.MemWriteHalves += int64(h.comp.LineHalves(l.data, base))
+	h.mem.WriteLine(base, data)
+	h.stats.MemWriteHalves += int64(h.comp.LineHalves(data, base))
 }
 
 // Read implements memsys.System.
@@ -397,23 +347,18 @@ func (h *LCC) Occupancies() []memsys.Occupancy {
 	w := h.g1.Words()
 	o := memsys.Occupancy{
 		Level:   "L1",
-		LineCap: 2 * h.l1.p.Sets() * h.l1.p.Assoc,
-		HalfCap: 2 * w * h.l1.p.Sets() * h.l1.p.Assoc,
+		LineCap: h.l1.tags.Len(),
+		HalfCap: w * h.l1.tags.Len(),
 	}
-	for si := range h.l1.sets {
-		for f := range h.l1.sets[si] {
-			for s := range h.l1.sets[si][f].lines {
-				l := &h.l1.sets[si][f].lines[s]
-				if !l.valid {
-					continue
-				}
-				o.Lines++
-				if l.compressed {
-					o.Halves += w
-				} else {
-					o.Halves += 2 * w
-				}
-			}
+	for i := range h.l1.slots {
+		if !h.l1.tags.Valid(i) {
+			continue
+		}
+		o.Lines++
+		if h.l1.slots[i].compressed {
+			o.Halves += w
+		} else {
+			o.Halves += 2 * w
 		}
 	}
 	return []memsys.Occupancy{o, h.l2.Occupancy("L2")}
@@ -421,25 +366,19 @@ func (h *LCC) Occupancies() []memsys.Occupancy {
 
 // Drain flushes every dirty line to memory (diagnostic).
 func (h *LCC) Drain() {
-	for si := range h.l1.sets {
-		for f := range h.l1.sets[si] {
-			for s := range h.l1.sets[si][f].lines {
-				l := &h.l1.sets[si][f].lines[s]
-				if l.valid && l.dirty {
-					h.mem.WriteLine(h.g1.NumberToAddr(l.tag), l.data)
-					l.dirty = false
-				}
-			}
+	for i := range h.l1.slots {
+		if l := &h.l1.slots[i]; h.l1.tags.Valid(i) && l.dirty {
+			h.mem.WriteLine(h.g1.NumberToAddr(h.l1.tags.Tag(i)), l.data)
+			l.dirty = false
 		}
 	}
-	h.l2.Lines(func(_ int, l *cache.Line) {
+	h.l2.Lines(func(base mach.Addr, l *cache.Line) {
 		if l.Dirty {
-			base := l.Addr(h.g2)
 			data := append([]mach.Word(nil), l.Data...)
 			for i := 0; i < len(data); i += h.g1.Words() {
 				sub := base + mach.Addr(i*mach.WordBytes)
-				if l1l := h.l1.find(h.g1.LineNumber(sub)); l1l != nil {
-					copy(data[i:i+h.g1.Words()], l1l.data)
+				if s := h.l1.tags.Lookup(h.g1.LineNumber(sub)); s >= 0 {
+					copy(data[i:i+h.g1.Words()], h.l1.slots[s].data)
 				}
 			}
 			h.mem.WriteLine(base, data)

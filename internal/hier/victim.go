@@ -86,10 +86,8 @@ func (h *Victim) access(a mach.Addr, write bool, v mach.Word) (mach.Word, int) {
 	// which models the same "next cycle" penalty.
 	if buf := h.vc.Probe(a); buf != nil {
 		h.stats.PfBufHitsL1++ // reuse the buffer-hit counter for VC hits
-		data := append([]mach.Word(nil), buf.Data...)
 		dirty := buf.Dirty
-		h.vc.Invalidate(a)
-		ev := h.l1.Fill(a, data)
+		ev := h.l1.Fill(a, h.vc.Invalidate(a).Data)
 		if dirty {
 			if l := h.l1.Probe(a); l != nil {
 				l.Dirty = true
@@ -156,9 +154,9 @@ func (h *Victim) Write(a mach.Addr, v mach.Word) int {
 // drain writes out.
 func (h *Victim) Drain() {
 	h.Standard.Drain()
-	h.vc.Lines(func(_ int, l *cache.Line) {
+	h.vc.Lines(func(base mach.Addr, l *cache.Line) {
 		if l.Dirty {
-			h.mem.WriteLine(l.Addr(h.g1), l.Data)
+			h.mem.WriteLine(base, l.Data)
 			l.Dirty = false
 		}
 	})
