@@ -274,36 +274,3 @@ func TestPrefetchWriteToBufferedLine(t *testing.T) {
 		t.Errorf("read back %d, want 123", v)
 	}
 }
-
-func TestPrefetchSteadyStateAllocationFree(t *testing.T) {
-	// The prefetch path reuses the two scratch line buffers (scr1/scr2)
-	// instead of allocating per miss; in steady state a miss-heavy access
-	// pattern — buffer hits, promotes, prefetch-throughs, write-backs —
-	// must not allocate at all. This pins the BCP allocation fix
-	// (~20k -> ~1k allocations per simulated run).
-	m := mem.New()
-	h, err := NewPrefetch(PrefetchConfigDefault(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(23))
-	batch := func() {
-		for i := 0; i < 2000; i++ {
-			var a mach.Addr
-			if rng.Intn(3) == 0 {
-				a = mach.Addr(rng.Intn(1<<18)) &^ 3 // conflict misses + write-backs
-			} else {
-				a = mach.Addr(i*4) & (1<<16 - 1) // sequential: buffer hits
-			}
-			if rng.Intn(4) == 0 {
-				h.Write(a, rng.Uint32())
-			} else {
-				h.Read(a)
-			}
-		}
-	}
-	batch() // warm-up: cache/buffer storage and obs state settle
-	if avg := testing.AllocsPerRun(10, batch); avg > 0 {
-		t.Errorf("steady-state BCP batch allocated %.1f times, want 0", avg)
-	}
-}

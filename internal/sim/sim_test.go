@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
+	"cppcache/internal/mach"
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
 	"cppcache/internal/workload"
@@ -128,5 +130,41 @@ func TestBCAndBCCSameTiming(t *testing.T) {
 	if bcc.Mem.MemTrafficWords() >= bc.Mem.MemTrafficWords() {
 		t.Errorf("BCC traffic %.0f not below BC %.0f",
 			bcc.Mem.MemTrafficWords(), bc.Mem.MemTrafficWords())
+	}
+}
+
+// TestSteadyStateAllocationFree: once warm, no hierarchy allocates on the
+// access path. A miss-heavy mix — sequential runs (prefetch-buffer and
+// victim-cache hits, affiliated hits), random conflict misses and
+// write-backs — must not allocate at all; every hierarchy reuses scratch
+// buffers for line moves, fetches and evictions.
+func TestSteadyStateAllocationFree(t *testing.T) {
+	for _, name := range append(Configs(), ExtraConfigs()...) {
+		t.Run(name, func(t *testing.T) {
+			sys, err := NewSystem(name, mem.New(), memsys.DefaultLatencies())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(23))
+			batch := func() {
+				for i := 0; i < 2000; i++ {
+					var a mach.Addr
+					if rng.Intn(3) == 0 {
+						a = mach.Addr(rng.Intn(1<<18)) &^ 3 // conflict misses + write-backs
+					} else {
+						a = mach.Addr(i*4) & (1<<16 - 1) // sequential
+					}
+					if rng.Intn(4) == 0 {
+						sys.Write(a, rng.Uint32())
+					} else {
+						sys.Read(a)
+					}
+				}
+			}
+			batch() // warm-up: cache storage settles
+			if avg := testing.AllocsPerRun(10, batch); avg > 0 {
+				t.Errorf("steady-state %s batch allocated %.1f times, want 0", name, avg)
+			}
+		})
 	}
 }
