@@ -12,16 +12,17 @@ import (
 	"cppcache/internal/runstate"
 )
 
-// recordTerminal builds the ledger record for a run that just reached a
-// terminal state, feeds the in-memory fleet rollup, and — when a ledger
-// writer is configured — appends it durably. An append failure is counted
-// and logged but never propagates into the run's own lifecycle.
+// recordTerminal builds the ledger record for a run whose terminal
+// outcome is settled (and, for all but memoized runs, not yet published;
+// see runEnd), stores a servable memo entry, feeds the in-memory fleet
+// rollup, and — when a ledger writer is configured — appends it durably.
+// An append failure is counted and logged but never propagates into the
+// run's own lifecycle.
 func (g *Registry) recordTerminal(run *Run) {
+	end := run.outcome()
+	state, errMsg, finished, res := end.state, end.errMsg, end.finished, end.result
 	run.mu.Lock()
-	state := run.state
-	errMsg := run.errMsg
-	created, finished := run.created, run.finished
-	res := run.result
+	created := run.created
 	totals := run.totals
 	intervals := run.snapBase + run.snapCount
 	memoized, memoRun := run.memoized, run.memoRun
@@ -78,7 +79,6 @@ func (g *Registry) recordTerminal(run *Run) {
 	if g.memo != nil && state == StateDone && !memoized && run.Spec.Chaos == nil &&
 		res != nil && rec.ResultDigest != "" && rec.SpecHash != "" {
 		snaps, from, _, _ := run.SnapsFrom(0)
-		attrText, attrColl := run.Profile()
 		drift := g.memo.store(&memoEntry{
 			specHash:    rec.SpecHash,
 			runID:       run.ID,
@@ -90,8 +90,8 @@ func (g *Registry) recordTerminal(run *Run) {
 			snapBase:    from,
 			snapDropped: run.SnapshotsDropped(),
 			result:      res,
-			attrText:    attrText,
-			attrColl:    attrColl,
+			attrText:    end.attrText,
+			attrColl:    end.attrColl,
 		})
 		if drift {
 			g.log.Error("memo digest drift: same spec hash produced a different result digest",

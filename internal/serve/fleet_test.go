@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cppcache/internal/chaos"
 	"cppcache/internal/ledger"
 	"cppcache/internal/span"
 )
@@ -471,5 +472,72 @@ func TestMetricsFleetFamilies(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no cppserved_build_info series with go_version label")
+	}
+}
+
+// TestTerminalStateFollowsRecords: a run's terminal state becomes
+// observable only after its fleet record exists, on the execute path and
+// on the queued-cancel path. A waiter wakes on the run's change channel
+// and looks for the record at once, so any window between the state
+// change and the record shows up as a missing record.
+func TestTerminalStateFollowsRecords(t *testing.T) {
+	reg := NewRegistryWith(Config{MaxRunning: 1, AllowChaos: true}, nil)
+	recorded := func(id int) bool {
+		for _, rec := range reg.FleetRecords() {
+			if rec.RunID == id {
+				return true
+			}
+		}
+		return false
+	}
+	// watch returns a channel that yields whether the record existed at
+	// the instant the waiter first saw the run terminal.
+	watch := func(run *Run) <-chan bool {
+		out := make(chan bool, 1)
+		go func() {
+			for {
+				_, _, state, changed := run.SnapsFrom(0)
+				if state.Terminal() {
+					out <- recorded(run.ID)
+					return
+				}
+				<-changed
+			}
+		}()
+		return out
+	}
+	for i := 0; i < 20; i++ {
+		run, err := reg.Launch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !<-watch(run) {
+			t.Fatalf("run %d: terminal state visible before its record", run.ID)
+		}
+	}
+
+	stalled, err := reg.Launch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1,
+		Chaos: &chaos.Spec{StallAfter: 1, StallMs: 60000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		queued, err := reg.Launch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := watch(queued)
+		if err := reg.Cancel(queued.ID, "test cancel"); err != nil {
+			t.Fatal(err)
+		}
+		if !<-seen {
+			t.Fatalf("queued run %d: canceled state visible before its record", queued.ID)
+		}
+	}
+	if err := reg.Cancel(stalled.ID, "test cancel"); err != nil {
+		t.Fatal(err)
+	}
+	if !reg.Drain(10 * time.Second) {
+		t.Error("drain timed out")
 	}
 }

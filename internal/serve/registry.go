@@ -152,6 +152,25 @@ type Run struct {
 	// changed is closed and replaced whenever snaps or state change;
 	// stream consumers wait on it.
 	changed chan struct{}
+
+	// end is the terminal outcome settled but not yet published (nil
+	// before and after); see settle.
+	end *runEnd
+}
+
+// runEnd is a run's terminal outcome. A run ends in three steps: settle
+// stages the outcome and closes the lifecycle spans, the registry records
+// the run in the memo, fleet rollup and ledger, and publish makes the
+// state observable (status, SSE end, waiters). A client that sees a
+// terminal state therefore always finds the run's records.
+type runEnd struct {
+	state    RunState
+	finished time.Time
+	errMsg   string
+	result   *cppcache.Result
+	dropped  int64
+	attrText string
+	attrColl string
 }
 
 // RunStatus is the JSON shape served for one run.
@@ -578,7 +597,7 @@ func (g *Registry) newMemoRunLocked(spec RunSpec, e *memoEntry) *Run {
 // while queued).
 func (g *Registry) startLocked(run *Run) bool {
 	run.mu.Lock()
-	if run.state != StateQueued {
+	if run.state != StateQueued || run.end != nil {
 		run.mu.Unlock()
 		return false
 	}
@@ -632,9 +651,11 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 			g.log.Error("run panicked; isolated", "run_id", run.ID, "trace_id", run.TraceID(),
 				"panic", fmt.Sprint(p), "elapsed", time.Since(start))
 		}
-		// Every execute path (done, failed, canceled, panicked) is terminal
-		// here: ledger the run before its worker slot is released.
+		// Every execute path (done, failed, canceled, panicked) has
+		// settled here: ledger the run, then publish its state, before
+		// its worker slot is released.
 		g.recordTerminal(run)
+		run.publish()
 		g.onFinished()
 	}()
 
@@ -755,15 +776,16 @@ func (g *Registry) Cancel(id int, cause string) error {
 	}
 	run.mu.Lock()
 	switch {
+	case run.end != nil:
+		state := run.end.state
+		run.mu.Unlock()
+		return fmt.Errorf("run %d is already %s", id, state)
 	case run.state == StateQueued:
-		run.state = StateCanceled
 		run.cancelCause = cause
-		run.errMsg = cause
-		run.finished = time.Now()
-		run.endSpansLocked(run.finished)
-		run.notifyLocked()
+		run.settleLocked(runEnd{state: StateCanceled, errMsg: cause})
 		run.mu.Unlock()
 		g.recordTerminal(run)
+		run.publish()
 		g.log.Info("queued run canceled", "run_id", id, "trace_id", run.TraceID(), "cause", cause)
 		return nil
 	case run.state == StateRunning:
@@ -862,13 +884,9 @@ func (g *Registry) Drain(timeout time.Duration) bool {
 		if run, ok := g.Get(id); ok {
 			run.mu.Lock()
 			canceled := false
-			if run.state == StateQueued {
-				run.state = StateCanceled
+			if run.state == StateQueued && run.end == nil {
 				run.cancelCause = "server draining"
-				run.errMsg = "server draining"
-				run.finished = time.Now()
-				run.endSpansLocked(run.finished)
-				run.notifyLocked()
+				run.settleLocked(runEnd{state: StateCanceled, errMsg: "server draining"})
 				canceled = true
 				g.log.Info("queued run canceled", "run_id", id, "trace_id", run.TraceID(),
 					"cause", "server draining")
@@ -876,6 +894,7 @@ func (g *Registry) Drain(timeout time.Duration) bool {
 			run.mu.Unlock()
 			if canceled {
 				g.recordTerminal(run)
+				run.publish()
 			}
 		}
 	}
@@ -973,30 +992,59 @@ func (r *Run) endSpansLocked(at time.Time) {
 	r.root.EndAt(at)
 }
 
-// complete marks the run done and captures its result and profile.
-func (r *Run) complete(res *cppcache.Result, ob *cppcache.Observation) {
+// settleLocked stages the run's terminal outcome e, stamped with the
+// terminal instant at which the lifecycle spans close. Callers hold r.mu,
+// then record the run and publish it.
+func (r *Run) settleLocked(e runEnd) {
+	e.finished = time.Now()
+	r.endSpansLocked(e.finished)
+	r.end = &e
+}
+
+// publish makes the settled outcome the run's observable state and wakes
+// every waiter.
+func (r *Run) publish() {
 	r.mu.Lock()
-	r.state = StateDone
-	r.finished = time.Now()
-	r.endSpansLocked(r.finished)
-	r.result = res
-	r.dropped = ob.TraceDropped()
-	if ob.AttrEnabled() {
-		r.attrText = ob.AttrText(10)
-		r.attrColl = ob.AttrCollapsed()
-	}
+	e := r.end
+	r.end = nil
+	r.state = e.state
+	r.finished = e.finished
+	r.errMsg = e.errMsg
+	r.result = e.result
+	r.dropped = e.dropped
+	r.attrText, r.attrColl = e.attrText, e.attrColl
 	r.notifyLocked()
 	r.mu.Unlock()
 }
 
-// fail marks the run failed.
+// outcome returns the run's terminal outcome: the settled one awaiting
+// publish, else the published fields (a memoized run is born terminal).
+func (r *Run) outcome() runEnd {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.end != nil {
+		return *r.end
+	}
+	return runEnd{state: r.state, finished: r.finished, errMsg: r.errMsg, result: r.result,
+		dropped: r.dropped, attrText: r.attrText, attrColl: r.attrColl}
+}
+
+// complete settles the run done with its result and profile.
+func (r *Run) complete(res *cppcache.Result, ob *cppcache.Observation) {
+	e := runEnd{state: StateDone, result: res, dropped: ob.TraceDropped()}
+	if ob.AttrEnabled() {
+		e.attrText = ob.AttrText(10)
+		e.attrColl = ob.AttrCollapsed()
+	}
+	r.mu.Lock()
+	r.settleLocked(e)
+	r.mu.Unlock()
+}
+
+// fail settles the run failed.
 func (r *Run) fail(err error) {
 	r.mu.Lock()
-	r.state = StateFailed
-	r.finished = time.Now()
-	r.endSpansLocked(r.finished)
-	r.errMsg = err.Error()
-	r.notifyLocked()
+	r.settleLocked(runEnd{state: StateFailed, errMsg: err.Error()})
 	r.mu.Unlock()
 }
 
@@ -1005,17 +1053,13 @@ func (r *Run) failf(format string, args ...any) {
 	r.fail(fmt.Errorf(format, args...))
 }
 
-// markCanceled moves a running run to the canceled terminal state.
+// markCanceled settles a running run canceled.
 func (r *Run) markCanceled() {
 	r.mu.Lock()
-	r.state = StateCanceled
-	r.finished = time.Now()
-	r.endSpansLocked(r.finished)
 	if r.cancelCause == "" {
 		r.cancelCause = "canceled"
 	}
-	r.errMsg = r.cancelCause
-	r.notifyLocked()
+	r.settleLocked(runEnd{state: StateCanceled, errMsg: r.cancelCause})
 	r.mu.Unlock()
 }
 
