@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +147,94 @@ func TestTraceConservation(t *testing.T) {
 	wb := byName["workload.build"]
 	if len(wb.Events) != 1 || wb.Events[0].Name != "decode.cache" {
 		t.Errorf("workload.build events = %+v, want one decode.cache", wb.Events)
+	}
+}
+
+// TestStageBucketsCumulative scrapes /metrics after a real run plus
+// observations at both ends of the range, and checks every stage's
+// cppserved_stage_seconds_bucket series: the le bounds increase and are
+// the same for every stage, the counts never decrease, and the series
+// ends in +Inf == _count with the top finite bucket at most that.
+func TestStageBucketsCumulative(t *testing.T) {
+	ts, reg, _ := newServerWith(t, Config{})
+	st := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1}`)
+	if final := waitDone(t, ts, st.ID); final.State != StateDone {
+		t.Fatalf("state = %s (err %q)", final.State, final.Error)
+	}
+	for _, secs := range []float64{0, 1e-7, 0.003, 0.5, 3600} {
+		reg.stages.observe("probe", secs)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	counts := parseExposition(t, body)
+
+	const prefix = `cppserved_stage_seconds_bucket{stage="`
+	type series struct {
+		les    []string
+		counts []float64
+	}
+	byStage := map[string]*series{}
+	var order []string
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		stage, rest, _ := strings.Cut(rest, `",le="`)
+		le, rest, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseFloat(rest, 64)
+		if err != nil {
+			t.Fatalf("bad bucket line %q: %v", line, err)
+		}
+		s := byStage[stage]
+		if s == nil {
+			s = &series{}
+			byStage[stage] = s
+			order = append(order, stage)
+		}
+		s.les = append(s.les, le)
+		s.counts = append(s.counts, n)
+	}
+	for _, want := range []string{"run", "execute", "probe"} {
+		if byStage[want] == nil {
+			t.Fatalf("no bucket series for stage %q:\n%s", want, body)
+		}
+	}
+	first := byStage[order[0]]
+	for _, stage := range order {
+		s := byStage[stage]
+		n := len(s.les)
+		if n < 2 || s.les[n-1] != "+Inf" {
+			t.Fatalf("stage %q: series does not end in +Inf: %v", stage, s.les)
+		}
+		if strings.Join(s.les, ",") != strings.Join(first.les, ",") {
+			t.Errorf("stage %q le bounds %v differ from stage %q's %v", stage, s.les, order[0], first.les)
+		}
+		prev := math.Inf(-1)
+		for i, le := range s.les[:n-1] {
+			ub, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				t.Fatalf("stage %q: bad le %q", stage, le)
+			}
+			if ub <= prev {
+				t.Errorf("stage %q: le %v follows %v", stage, ub, prev)
+			}
+			prev = ub
+			if i > 0 && s.counts[i] < s.counts[i-1] {
+				t.Errorf("stage %q: count %v at le=%s below %v at le=%s",
+					stage, s.counts[i], le, s.counts[i-1], s.les[i-1])
+			}
+		}
+		total := counts[`cppserved_stage_seconds_count{stage="`+stage+`"}`]
+		if inf := s.counts[n-1]; inf != total || s.counts[n-2] > inf {
+			t.Errorf("stage %q: top finite %v, +Inf %v, _count %v", stage, s.counts[n-2], inf, total)
+		}
+	}
+	if got := byStage["probe"].counts; got[len(got)-1] != 5 || got[len(got)-2] != 4 {
+		t.Errorf("probe stage: top finite %v, +Inf %v; want 4 and 5", got[len(got)-2], got[len(got)-1])
 	}
 }
 
