@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -27,6 +28,26 @@ func build(t *testing.T, name string) string {
 		t.Fatalf("go build ./%s: %v\n%s", name, err, out)
 	}
 	return bin
+}
+
+// logBuffer collects a child process's stderr. os/exec copies the output
+// on its own goroutine until the process exits, so reads of a running
+// server's logs must hold the same lock as those writes.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
 }
 
 // run executes the binary and returns its combined output, failing the test
@@ -97,7 +118,7 @@ func TestSmokeCppserved(t *testing.T) {
 	bin := build(t, "cppserved")
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-drain-timeout", "30s")
-	var logs bytes.Buffer
+	var logs logBuffer
 	cmd.Stderr = &logs
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -188,11 +209,11 @@ func TestSmokeLedgerDashboard(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(dir, "runs.ledger")
 
-	boot := func(addrFile string) (*exec.Cmd, *bytes.Buffer, string) {
+	boot := func(addrFile string) (*exec.Cmd, *logBuffer, string) {
 		t.Helper()
 		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile,
 			"-ledger", ledgerPath, "-drain-timeout", "30s")
-		var logs bytes.Buffer
+		var logs logBuffer
 		cmd.Stderr = &logs
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
