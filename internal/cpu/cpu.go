@@ -165,7 +165,7 @@ type robEntry struct {
 }
 
 // Core is the simulated processor. Create with New; a Core is single-use:
-// Run consumes the stream once.
+// Run replays one trace.
 type Core struct {
 	p    Params
 	d    memsys.System
@@ -247,9 +247,9 @@ func New(p Params, d memsys.System) (*Core, error) {
 		rob:      make([]robEntry, p.ROBSize),
 		ifq:      make([]robEntry, p.IFQSize),
 		unissued: make([]int32, 0, p.ROBSize),
-		lsq:     make([]flightRec, 0, 2*p.ROBSize),
-		memInfl: make([]flightRec, 0, 2*p.ROBSize),
-		aluInfl: make([]flightRec, 0, 2*p.ROBSize),
+		lsq:      make([]flightRec, 0, 2*p.ROBSize),
+		memInfl:  make([]flightRec, 0, 2*p.ROBSize),
+		aluInfl:  make([]flightRec, 0, 2*p.ROBSize),
 	}
 	switch h := d.(type) {
 	case *core.Hierarchy:
@@ -280,15 +280,16 @@ const cancelCheckEvery = 4096
 // mispredicted branch completes.
 const stallSentinel = int64(1) << 40
 
-// Run replays the stream to completion and returns timing statistics. It
+// Run replays the trace to completion and returns timing statistics. It
 // is RunContext with a background (never-canceled) context.
-func (c *Core) Run(s isa.Stream) Result {
-	res, _ := c.RunContext(context.Background(), s)
+func (c *Core) Run(r *trace.Replayer) Result {
+	res, _ := c.RunContext(context.Background(), r)
 	return res
 }
 
-// RunContext replays the stream to completion and returns timing
-// statistics.
+// RunContext replays the trace to completion and returns timing
+// statistics. Fetch indexes the replay's shared struct-of-arrays buffers
+// directly, so any number of concurrent runs can share one trace.
 //
 // The pipeline state lives in preallocated rings (c.rob, c.ifq) and
 // scratch slices, so the steady-state loop performs no heap allocation.
@@ -304,11 +305,10 @@ func (c *Core) Run(s isa.Stream) Result {
 // deadline has expired, abandons the run and returns the partial statistics
 // together with ctx's error. A context that can never be canceled (Done()
 // == nil, e.g. context.Background()) skips the polling entirely.
-func (c *Core) RunContext(ctx context.Context, s isa.Stream) (Result, error) {
-	s.Reset()
+func (c *Core) RunContext(ctx context.Context, r *trace.Replayer) (Result, error) {
 	done := ctx.Done()
 	var (
-		iters int64
+		iters           int64
 		res             Result
 		cycle           int64
 		fetchStallUntil int64 // front-end blocked until this cycle (mispredict)
@@ -342,28 +342,12 @@ func (c *Core) RunContext(ctx context.Context, s isa.Stream) (Result, error) {
 		c.regReadyAt[i] = 0
 	}
 
-	// Pre-decoded fast path: when the stream is a trace.Replayer, fetch
-	// indexes the shared struct-of-arrays buffers directly instead of
-	// paying an interface call and a record copy per instruction. Any
-	// other Stream keeps the generic path, instruction for instruction
-	// identical.
-	var (
-		dOps           []isa.Op
-		dDests, dSrc1s []int32
-		dSrc2s         []int32
-		dAddrs, dPCs   []mach.Addr
-		dValues        []mach.Word
-		dTakens        []bool
-		dPos, dLen     int
-	)
-	if rp, ok := s.(*trace.Replayer); ok {
-		d := rp.Decoded()
-		dOps, dDests, dSrc1s, dSrc2s = d.Ops(), d.Dests(), d.Src1s(), d.Src2s()
-		dAddrs, dValues, dPCs, dTakens = d.Addrs(), d.Values(), d.PCs(), d.Takens()
-		dLen = d.Len()
-	}
+	d := r.Decoded()
+	dOps, dDests, dSrc1s, dSrc2s := d.Ops(), d.Dests(), d.Src1s(), d.Src2s()
+	dAddrs, dValues, dPCs, dTakens := d.Addrs(), d.Values(), d.PCs(), d.Takens()
+	dPos, dLen := 0, d.Len()
 
-	// Drain loop: run until the stream is exhausted and the ROB is empty.
+	// Drain loop: run until the trace is exhausted and the ROB is empty.
 	for !fetchDone || robLen > 0 || ifqLen > 0 {
 		cycle++
 		if cycle > stallSentinel {
@@ -558,26 +542,17 @@ func (c *Core) RunContext(ctx context.Context, s isa.Stream) (Result, error) {
 			// pinned timing depends on that); fetched only feeds the
 			// idle-cycle progress check below.
 			for ifqLen < ifqSize {
-				var in isa.Inst
-				if dOps != nil {
-					if dPos >= dLen {
-						fetchDone = true
-						break
-					}
-					in = isa.Inst{
-						Op: dOps[dPos], Dest: dDests[dPos],
-						Src1: dSrc1s[dPos], Src2: dSrc2s[dPos],
-						Addr: dAddrs[dPos], Value: dValues[dPos],
-						Taken: dTakens[dPos], PC: dPCs[dPos],
-					}
-					dPos++
-				} else {
-					var ok bool
-					if in, ok = s.Next(); !ok {
-						fetchDone = true
-						break
-					}
+				if dPos >= dLen {
+					fetchDone = true
+					break
 				}
+				in := isa.Inst{
+					Op: dOps[dPos], Dest: dDests[dPos],
+					Src1: dSrc1s[dPos], Src2: dSrc2s[dPos],
+					Addr: dAddrs[dPos], Value: dValues[dPos],
+					Taken: dTakens[dPos], PC: dPCs[dPos],
+				}
+				dPos++
 				res.ICacheAccesses++
 				if !c.ic.access(in.PC) {
 					res.ICacheMisses++

@@ -192,12 +192,7 @@ func (s *Suite) Compressibility() (*stats.Table, error) {
 			return nil, err
 		}
 		var small, ptr, incomp, total float64
-		str := p.Stream()
-		for {
-			in, ok := str.Next()
-			if !ok {
-				break
-			}
+		for _, in := range p.Insts() {
 			if !in.Op.IsMem() {
 				continue
 			}
@@ -368,7 +363,7 @@ func (s *Suite) InstructionMix() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := isa.CountMix(p.Stream())
+		m := isa.CountMix(p.Decoded().Ops())
 		t.Set(name, "load", m.Frac(isa.OpLoad))
 		t.Set(name, "store", m.Frac(isa.OpStore))
 		t.Set(name, "branch", m.Frac(isa.OpBranch))

@@ -81,44 +81,6 @@ type Inst struct {
 	PC    mach.Addr // instruction address, used by the branch predictor
 }
 
-// Stream is a pull-based instruction source. Implementations must be
-// deterministic: two iterations of the same Stream yield identical
-// instructions.
-type Stream interface {
-	// Next returns the next instruction. ok is false at end of stream.
-	Next() (in Inst, ok bool)
-	// Reset rewinds the stream to the beginning.
-	Reset()
-}
-
-// SliceStream adapts a materialised instruction slice to the Stream
-// interface.
-type SliceStream struct {
-	insts []Inst
-	pos   int
-}
-
-// NewSliceStream returns a Stream over insts. The slice is not copied.
-func NewSliceStream(insts []Inst) *SliceStream {
-	return &SliceStream{insts: insts}
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return Inst{}, false
-	}
-	in := s.insts[s.pos]
-	s.pos++
-	return in, true
-}
-
-// Reset implements Stream.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Len returns the number of instructions in the stream.
-func (s *SliceStream) Len() int { return len(s.insts) }
-
 // Mix tallies a trace's instruction class counts.
 type Mix struct {
 	Counts [numOps]int64
@@ -139,18 +101,12 @@ func (m *Mix) Frac(o Op) float64 {
 	return float64(m.Counts[o]) / float64(m.Total)
 }
 
-// CountMix consumes a stream (resetting it first and afterwards) and
-// returns its instruction mix.
-func CountMix(s Stream) Mix {
-	s.Reset()
+// CountMix returns the instruction mix of a trace's opcodes.
+func CountMix(ops []Op) Mix {
 	var m Mix
-	for {
-		in, ok := s.Next()
-		if !ok {
-			break
-		}
-		m.Add(in)
+	for _, o := range ops {
+		m.Counts[o]++
 	}
-	s.Reset()
+	m.Total = int64(len(ops))
 	return m
 }

@@ -16,7 +16,7 @@ func FuzzTraceReader(f *testing.F) {
 	// a bad magic, and the empty input.
 	valid := func(insts []isa.Inst) []byte {
 		var buf bytes.Buffer
-		if _, err := WriteAll(&buf, isa.NewSliceStream(insts)); err != nil {
+		if _, err := WriteAll(&buf, insts); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -52,7 +52,7 @@ func FuzzTraceReader(f *testing.F) {
 		}
 		// Accepted prefix must roundtrip bit-exactly.
 		var buf bytes.Buffer
-		if _, err := WriteAll(&buf, isa.NewSliceStream(insts)); err != nil {
+		if _, err := WriteAll(&buf, insts); err != nil {
 			t.Fatalf("re-encode of accepted stream failed: %v", err)
 		}
 		got, err := NewReader(&buf).ReadAll()

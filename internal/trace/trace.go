@@ -244,16 +244,10 @@ func (tr *Reader) ReadAll() ([]isa.Inst, error) {
 	}
 }
 
-// WriteAll encodes all instructions from s (resetting it first) to w and
-// flushes.
-func WriteAll(w io.Writer, s isa.Stream) (int64, error) {
-	s.Reset()
+// WriteAll encodes insts to w and flushes.
+func WriteAll(w io.Writer, insts []isa.Inst) (int64, error) {
 	tw := NewWriter(w)
-	for {
-		in, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, in := range insts {
 		if err := tw.Write(in); err != nil {
 			return tw.Count(), err
 		}

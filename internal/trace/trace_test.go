@@ -48,7 +48,7 @@ func TestRoundTrip(t *testing.T) {
 		insts[i] = randomInst(rng)
 	}
 	var buf bytes.Buffer
-	n, err := WriteAll(&buf, isa.NewSliceStream(insts))
+	n, err := WriteAll(&buf, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRoundTripQuick(t *testing.T) {
 			insts[i] = randomInst(rng)
 		}
 		var buf bytes.Buffer
-		if _, err := WriteAll(&buf, isa.NewSliceStream(insts)); err != nil {
+		if _, err := WriteAll(&buf, insts); err != nil {
 			return false
 		}
 		got, err := NewReader(&buf).ReadAll()
@@ -89,7 +89,7 @@ func TestRoundTripQuick(t *testing.T) {
 
 func TestEmptyStream(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := WriteAll(&buf, isa.NewSliceStream(nil))
+	n, err := WriteAll(&buf, nil)
 	if err != nil || n != 0 {
 		t.Fatalf("WriteAll(empty) = %d, %v", n, err)
 	}
@@ -109,7 +109,7 @@ func TestBadMagic(t *testing.T) {
 func TestCorruptRecordRejected(t *testing.T) {
 	insts := []isa.Inst{{Op: isa.OpLoad, Dest: 1, Src1: isa.NoReg, Src2: isa.NoReg, Addr: 0x1000, Value: 7}}
 	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, isa.NewSliceStream(insts)); err != nil {
+	if _, err := WriteAll(&buf, insts); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown opcode.
@@ -129,7 +129,7 @@ func TestCorruptRecordRejected(t *testing.T) {
 func TestTruncatedRecord(t *testing.T) {
 	insts := []isa.Inst{{Op: isa.OpLoad, Dest: 1, Src1: isa.NoReg, Src2: isa.NoReg, Addr: 0x1000, Value: 7}}
 	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, isa.NewSliceStream(insts)); err != nil {
+	if _, err := WriteAll(&buf, insts); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-1]
@@ -150,7 +150,7 @@ func TestCompactness(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, isa.NewSliceStream(insts)); err != nil {
+	if _, err := WriteAll(&buf, insts); err != nil {
 		t.Fatal(err)
 	}
 	perRec := float64(buf.Len()) / float64(len(insts))

@@ -20,7 +20,7 @@ func (p *Program) Len() int { return p.p.Len() }
 
 // WriteTo serialises the trace in the cppcache binary format.
 func (p *Program) WriteTo(w io.Writer) (int64, error) {
-	return trace.WriteAll(w, p.p.Stream())
+	return trace.WriteAll(w, p.p.Insts())
 }
 
 // BuildBenchmark generates one of the 14 paper workloads at the given
@@ -30,8 +30,8 @@ func BuildBenchmark(name string, scale int) (*Program, error) {
 }
 
 // buildProgram is BuildBenchmark under an optional parent span, which
-// gets a workload.build child recording whether the shared decoded trace
-// was already cached.
+// gets a workload.build child recording whether the shared program was
+// already built.
 func buildProgram(name string, scale int, parent *span.Span) (*Program, error) {
 	if scale == 0 {
 		scale = workload.DefaultScale
