@@ -6,20 +6,22 @@ import (
 	"strings"
 	"sync"
 
+	"cppcache/internal/obs"
 	"cppcache/internal/span"
 )
 
-// stageBuckets are the cppserved_stage_seconds histogram bounds, in
-// seconds. Simulation stages on default scales land in the
-// millisecond-to-second range; the top bucket catches stalled or
-// deadline-bound runs.
-var stageBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30}
+// stageTopBucket is the highest obs.Histogram bucket the
+// cppserved_stage_seconds family lists with a finite le bound: 2^25 us,
+// about 33.6 s. Simulation stages on default scales land well below it;
+// stalled or deadline-bound runs fall through to +Inf.
+const stageTopBucket = 25
 
-// stageHist is one stage's cumulative histogram.
-type stageHist struct {
-	counts []int64 // one per stageBuckets entry
-	sum    float64
-	count  int64
+// stageTimes is one stage's durations: an obs.Histogram over whole
+// microseconds, the bucketing the /fleet stage rollups use, next to the
+// exact sum of the observed seconds.
+type stageTimes struct {
+	us  obs.Histogram
+	sum float64
 }
 
 // stageSet aggregates span durations per stage name, fed from the span
@@ -30,27 +32,22 @@ type stageHist struct {
 // construction.
 type stageSet struct {
 	mu    sync.Mutex
-	hists map[string]*stageHist
+	hists map[string]*stageTimes
 }
 
 // observe records one completed span. Matches span.Tracer.SetOnEnd.
 func (s *stageSet) observe(stage string, seconds float64) {
 	s.mu.Lock()
 	if s.hists == nil {
-		s.hists = map[string]*stageHist{}
+		s.hists = map[string]*stageTimes{}
 	}
 	h := s.hists[stage]
 	if h == nil {
-		h = &stageHist{counts: make([]int64, len(stageBuckets))}
+		h = &stageTimes{}
 		s.hists[stage] = h
 	}
-	for i, ub := range stageBuckets {
-		if seconds <= ub {
-			h.counts[i]++
-		}
-	}
+	h.us.Observe(int64(seconds * 1e6))
 	h.sum += seconds
-	h.count++
 	s.mu.Unlock()
 }
 
@@ -61,13 +58,16 @@ func (s *stageSet) SpanSeconds(stage string) (sum float64, count int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.hists[stage]; h != nil {
-		return h.sum, h.count
+		return h.sum, h.us.Count
 	}
 	return 0, 0
 }
 
 // writeProm renders the family in Prometheus text exposition 0.0.4, with
 // cumulative le buckets, stages in sorted order for deterministic output.
+// Bucket i holds whole-microsecond durations up to its inclusive upper
+// bound hi, so every duration it counts is below hi+1 us, the le bound it
+// is listed under; buckets 0..stageTopBucket are listed on every scrape.
 func (s *stageSet) writeProm(w *strings.Builder) {
 	s.mu.Lock()
 	names := make([]string, 0, len(s.hists))
@@ -80,12 +80,19 @@ func (s *stageSet) writeProm(w *strings.Builder) {
 	for _, name := range names {
 		h := s.hists[name]
 		stage := escapeLabel(name)
-		for i, ub := range stageBuckets {
-			fmt.Fprintf(w, "cppserved_stage_seconds_bucket{stage=\"%s\",le=\"%g\"} %d\n", stage, ub, h.counts[i])
+		bks := h.us.Buckets()
+		var cum int64
+		for i := 0; i <= stageTopBucket; i++ {
+			_, hi := obs.BucketBounds(i)
+			for len(bks) > 0 && bks[0].Hi <= hi {
+				cum += bks[0].Count
+				bks = bks[1:]
+			}
+			fmt.Fprintf(w, "cppserved_stage_seconds_bucket{stage=\"%s\",le=\"%g\"} %d\n", stage, float64(hi+1)/1e6, cum)
 		}
-		fmt.Fprintf(w, "cppserved_stage_seconds_bucket{stage=\"%s\",le=\"+Inf\"} %d\n", stage, h.count)
+		fmt.Fprintf(w, "cppserved_stage_seconds_bucket{stage=\"%s\",le=\"+Inf\"} %d\n", stage, h.us.Count)
 		fmt.Fprintf(w, "cppserved_stage_seconds_sum{stage=\"%s\"} %v\n", stage, h.sum)
-		fmt.Fprintf(w, "cppserved_stage_seconds_count{stage=\"%s\"} %d\n", stage, h.count)
+		fmt.Fprintf(w, "cppserved_stage_seconds_count{stage=\"%s\"} %d\n", stage, h.us.Count)
 	}
 	s.mu.Unlock()
 }
