@@ -1,7 +1,10 @@
 package ledger
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,35 +39,74 @@ type Filter struct {
 	Until time.Time
 }
 
-func (f Filter) match(r Record) bool {
-	if f.Workload != "" && r.Workload != f.Workload {
-		return false
-	}
-	if f.Config != "" && r.Config != f.Config {
-		return false
-	}
-	if f.Compressor != "" && r.Compressor != f.Compressor {
-		return false
-	}
-	if f.State != "" && r.State != f.State {
-		return false
-	}
-	if !f.Since.IsZero() && r.Finished.Before(f.Since) {
-		return false
-	}
-	if !f.Until.IsZero() && !r.Finished.Before(f.Until) {
-		return false
-	}
-	return true
-}
-
 // Rollup holds the fleet's records in memory and aggregates them on
 // demand. Aggregation is recomputed per query so time-window and label
 // filters are exact, never approximated from pre-merged state. Safe for
 // concurrent use.
+//
+// Each record is stored as one fixed-size row. The strings and small
+// integers a record's spec, outcome and stage names decide are interned
+// as one label per distinct combination, so the tables grow with the
+// spec catalogue, not the run count; a 32-hex-char trace ID is held as
+// 16 bytes; stage seconds live in one shared arena, in row order.
 type Rollup struct {
-	mu   sync.Mutex
-	recs []Record
+	mu sync.Mutex
+	t  table
+}
+
+// table is everything a query reads. Rows and interned values are
+// append-only, so a copy of the slice headers taken under the lock stays
+// valid after it is released.
+type table struct {
+	rows   []row
+	secs   []float64        // stage seconds, in row order, each row's in label.stages order
+	traces interner[string] // trace IDs that are not 32 lowercase hex chars
+	labels interner[label]
+	names  interner[string] // stage names
+}
+
+// row is one record. Times are Unix seconds plus nanoseconds: UnixNano
+// cannot hold the zero time or anything outside 1678–2262, and Records
+// must give back exactly what was added.
+type row struct {
+	created, finished            int64
+	instructions, l1Misses       int64
+	trafficWords                 float64
+	runID, memoSource, intervals int
+	createdNs, finishedNs        int32
+	trace                        [16]byte
+	traceStr                     uint32 // index+1 into traces; 0 when trace holds the ID
+	label                        uint32
+}
+
+// label is the part of a record that its spec, process, outcome and
+// stage names decide.
+type label struct {
+	schema, scale, goMaxProcs              int
+	workload, config, compressor, specHash string
+	state, digest, err                     string
+	stages                                 string // sorted stage-name IDs, 4 bytes each
+	functional, chaos, panic, memoized     bool
+	hasStages                              bool // StageSeconds was not nil
+}
+
+// interner numbers distinct values in order of first sight.
+type interner[K comparable] struct {
+	ids  map[K]uint32
+	vals []K
+}
+
+func (in *interner[K]) id(v K) uint32 {
+	id, ok := in.ids[v]
+	if !ok {
+		if in.ids == nil {
+			in.ids = map[K]uint32{}
+		}
+		id = uint32(len(in.vals))
+		in.vals = append(in.vals, v)
+		in.ids[v] = id
+	}
+	return id
 }
 
 // NewRollup returns an empty rollup.
@@ -73,29 +115,131 @@ func NewRollup() *Rollup { return &Rollup{} }
 // Add appends one record.
 func (ro *Rollup) Add(rec Record) {
 	ro.mu.Lock()
-	ro.recs = append(ro.recs, rec)
+	ro.add(&rec)
 	ro.mu.Unlock()
 }
 
 // AddAll appends a replayed batch (boot-time seeding).
 func (ro *Rollup) AddAll(recs []Record) {
 	ro.mu.Lock()
-	ro.recs = append(ro.recs, recs...)
+	for i := range recs {
+		ro.add(&recs[i])
+	}
 	ro.mu.Unlock()
 }
+
+func (ro *Rollup) add(rec *Record) {
+	t := &ro.t
+	ids := make([]uint32, 0, len(rec.StageSeconds))
+	for name := range rec.StageSeconds {
+		ids = append(ids, t.names.id(name))
+	}
+	slices.Sort(ids)
+	stages := make([]byte, 0, 4*len(ids))
+	for _, id := range ids {
+		stages = binary.LittleEndian.AppendUint32(stages, id)
+		t.secs = append(t.secs, rec.StageSeconds[t.names.vals[id]])
+	}
+	r := row{
+		created: rec.Created.Unix(), createdNs: int32(rec.Created.Nanosecond()),
+		finished: rec.Finished.Unix(), finishedNs: int32(rec.Finished.Nanosecond()),
+		instructions: rec.Instructions, l1Misses: rec.L1Misses, trafficWords: rec.TrafficWords,
+		runID: rec.RunID, memoSource: rec.MemoSource, intervals: rec.Intervals,
+		label: t.labels.id(label{
+			schema: rec.Schema, scale: rec.Scale, goMaxProcs: rec.GoMaxProcs,
+			workload: rec.Workload, config: rec.Config, compressor: rec.Compressor,
+			specHash: rec.SpecHash, state: rec.State, digest: rec.ResultDigest, err: rec.Error,
+			stages: string(stages), hasStages: rec.StageSeconds != nil,
+			functional: rec.Functional, chaos: rec.Chaos, panic: rec.Panic, memoized: rec.Memoized,
+		}),
+	}
+	if b, err := hex.DecodeString(rec.TraceID); err == nil && len(b) == len(r.trace) && hex.EncodeToString(b) == rec.TraceID {
+		r.trace = [16]byte(b)
+	} else {
+		r.traceStr = 1 + t.traces.id(rec.TraceID)
+	}
+	t.rows = append(t.rows, r)
+}
+
+// traceID rebuilds r's trace ID.
+func (t *table) traceID(r *row) string {
+	if r.traceStr > 0 {
+		return t.traces.vals[r.traceStr-1]
+	}
+	return hex.EncodeToString(r.trace[:])
+}
+
+// nameAt returns the i-th name ID of a label's stages.
+func nameAt(stages string, i int) uint32 {
+	return binary.LittleEndian.Uint32([]byte(stages[4*i : 4*i+4]))
+}
+
+func unixTime(sec int64, ns int32) time.Time { return time.Unix(sec, int64(ns)) }
 
 // Len reports how many records the rollup holds.
 func (ro *Rollup) Len() int {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
-	return len(ro.recs)
+	return len(ro.t.rows)
 }
 
-// Records returns a copy of the held records in append order.
+// Records rebuilds the held records in append order.
 func (ro *Rollup) Records() []Record {
 	ro.mu.Lock()
-	defer ro.mu.Unlock()
-	return append([]Record(nil), ro.recs...)
+	t := ro.t
+	ro.mu.Unlock()
+	out := make([]Record, len(t.rows))
+	off := 0
+	for i := range t.rows {
+		r := &t.rows[i]
+		l := &t.labels.vals[r.label]
+		out[i] = Record{
+			Schema: l.schema, RunID: r.runID, TraceID: t.traceID(r),
+			SpecHash: l.specHash, ResultDigest: l.digest,
+			Workload: l.workload, Config: l.config, Compressor: l.compressor,
+			Scale: l.scale, Functional: l.functional,
+			State: l.state, Chaos: l.chaos, Panic: l.panic, Error: l.err,
+			Memoized: l.memoized, MemoSource: r.memoSource,
+			Created: unixTime(r.created, r.createdNs), Finished: unixTime(r.finished, r.finishedNs),
+			GoMaxProcs: l.goMaxProcs,
+			Intervals:  r.intervals, Instructions: r.instructions,
+			L1Misses: r.l1Misses, TrafficWords: r.trafficWords,
+		}
+		if l.hasStages {
+			n := len(l.stages) / 4
+			m := make(map[string]float64, n)
+			for j := 0; j < n; j++ {
+				m[t.names.vals[nameAt(l.stages, j)]] = t.secs[off+j]
+			}
+			off += n
+			out[i].StageSeconds = m
+		}
+	}
+	return out
+}
+
+// match reports whether row r, labelled l, passes the filter.
+func (f Filter) match(l *label, r *row) bool {
+	if f.Workload != "" && l.workload != f.Workload {
+		return false
+	}
+	if f.Config != "" && l.config != f.Config {
+		return false
+	}
+	if f.Compressor != "" && l.compressor != f.Compressor {
+		return false
+	}
+	if f.State != "" && l.state != f.State {
+		return false
+	}
+	finished := unixTime(r.finished, r.finishedNs)
+	if !f.Since.IsZero() && finished.Before(f.Since) {
+		return false
+	}
+	if !f.Until.IsZero() && !finished.Before(f.Until) {
+		return false
+	}
+	return true
 }
 
 // Summary describes a set of float observations: exact sum plus min,
@@ -149,20 +293,20 @@ type StageStats struct {
 type stageAgg struct {
 	hist      *obs.Histogram // duration in microseconds
 	sum       float64        // exact seconds, not reconstructed from buckets
-	exemplars map[int]BucketStat
+	exemplars map[int]int    // bucket index -> first row observed in it
 }
 
-func (sa *stageAgg) observe(seconds float64, traceID string, runID int) {
+func (sa *stageAgg) observe(seconds float64, rowIdx int) {
 	us := int64(seconds * 1e6)
 	sa.hist.Observe(us)
 	sa.sum += seconds
 	idx := obs.BucketIndex(us)
 	if _, ok := sa.exemplars[idx]; !ok {
-		sa.exemplars[idx] = BucketStat{ExemplarTrace: traceID, ExemplarRun: runID}
+		sa.exemplars[idx] = rowIdx
 	}
 }
 
-func (sa *stageAgg) stats() StageStats {
+func (sa *stageAgg) stats(t *table) StageStats {
 	st := StageStats{
 		Count:      sa.hist.Count,
 		SumSeconds: sa.sum,
@@ -172,14 +316,13 @@ func (sa *stageAgg) stats() StageStats {
 		MaxSeconds: float64(sa.hist.Max) / 1e6,
 	}
 	for _, b := range sa.hist.Buckets() {
-		idx := obs.BucketIndex(b.Hi)
-		ex := sa.exemplars[idx]
+		r := &t.rows[sa.exemplars[obs.BucketIndex(b.Hi)]]
 		st.Buckets = append(st.Buckets, BucketStat{
 			LoMicros:      b.Lo,
 			HiMicros:      b.Hi,
 			Count:         b.Count,
-			ExemplarTrace: ex.ExemplarTrace,
-			ExemplarRun:   ex.ExemplarRun,
+			ExemplarTrace: t.traceID(r),
+			ExemplarRun:   r.runID,
 		})
 	}
 	return st
@@ -238,6 +381,13 @@ type Aggregate struct {
 // maxGroupExemplars caps ExemplarTraces per group.
 const maxGroupExemplars = 8
 
+// groupAcc accumulates one Group.
+type groupAcc struct {
+	g        *Group
+	stages   map[uint32]*stageAgg // by stage-name ID
+	specSeen map[string]bool
+}
+
 // Aggregate groups the filtered records by the given dimensions (all of
 // Dimensions when none are named). Unknown dimension names are an error.
 func (ro *Rollup) Aggregate(f Filter, dims ...string) (*Aggregate, error) {
@@ -253,88 +403,92 @@ func (ro *Rollup) Aggregate(f Filter, dims ...string) (*Aggregate, error) {
 	}
 
 	ro.mu.Lock()
-	recs := append([]Record(nil), ro.recs...)
+	t := ro.t
 	ro.mu.Unlock()
-
 	agg := &Aggregate{Dimensions: dims, Since: f.Since, Until: f.Until}
-	groups := map[string]*Group{}
-	stageAggs := map[string]map[string]*stageAgg{}
-	specSeen := map[string]map[string]bool{}
-	for _, r := range recs {
-		if !f.match(r) {
+	groups := map[string]*groupAcc{}
+	byLabel := map[uint32]*groupAcc{}
+	off := 0
+	for i := range t.rows {
+		r, l := &t.rows[i], &t.labels.vals[t.rows[i].label]
+		secs := t.secs[off : off+len(l.stages)/4]
+		off += len(secs)
+		if !f.match(l, r) {
 			continue
 		}
 		agg.TotalRuns++
-		g := &Group{}
-		if byDim["workload"] {
-			g.Workload = r.Workload
-		}
-		if byDim["config"] {
-			g.Config = r.Config
-		}
-		if byDim["compressor"] {
-			g.Compressor = r.Compressor
-		}
-		if byDim["state"] {
-			g.State = r.State
-		}
-		k := g.key()
-		if have, ok := groups[k]; ok {
-			g = have
-		} else {
-			groups[k] = g
-			stageAggs[k] = map[string]*stageAgg{}
-			specSeen[k] = map[string]bool{}
+		ga := byLabel[r.label]
+		if ga == nil {
+			g := &Group{}
+			if byDim["workload"] {
+				g.Workload = l.workload
+			}
+			if byDim["config"] {
+				g.Config = l.config
+			}
+			if byDim["compressor"] {
+				g.Compressor = l.compressor
+			}
+			if byDim["state"] {
+				g.State = l.state
+			}
+			k := g.key()
+			if ga = groups[k]; ga == nil {
+				ga = &groupAcc{g: g, stages: map[uint32]*stageAgg{}, specSeen: map[string]bool{}}
+				groups[k] = ga
+			}
+			byLabel[r.label] = ga
 		}
 
+		g := ga.g
 		g.Runs++
-		if r.Panic {
+		if l.panic {
 			g.Panics++
 		}
-		if r.Chaos {
+		if l.chaos {
 			g.ChaosRuns++
 		}
-		if r.Memoized {
+		if l.memoized {
 			g.Memoized++
 		}
-		g.Intervals += int64(r.Intervals)
-		g.Instructions += r.Instructions
-		g.L1Misses += r.L1Misses
-		g.TrafficWords += r.TrafficWords
-		if r.Instructions > 0 {
+		g.Intervals += int64(r.intervals)
+		g.Instructions += r.instructions
+		g.L1Misses += r.l1Misses
+		g.TrafficWords += r.trafficWords
+		if r.instructions > 0 {
 			if g.TrafficPerKiloInst == nil {
 				g.TrafficPerKiloInst = &Summary{}
 			}
-			g.TrafficPerKiloInst.observe(r.TrafficWords * 1000 / float64(r.Instructions))
+			g.TrafficPerKiloInst.observe(r.trafficWords * 1000 / float64(r.instructions))
 		}
-		for stage, secs := range r.StageSeconds {
-			sa := stageAggs[k][stage]
+		for j, secs := range secs {
+			name := nameAt(l.stages, j)
+			sa := ga.stages[name]
 			if sa == nil {
-				sa = &stageAgg{
-					hist:      obs.NewHistogram(stage),
-					exemplars: map[int]BucketStat{},
-				}
-				stageAggs[k][stage] = sa
+				sa = &stageAgg{hist: obs.NewHistogram(t.names.vals[name]), exemplars: map[int]int{}}
+				ga.stages[name] = sa
 			}
-			sa.observe(secs, r.TraceID, r.RunID)
+			sa.observe(secs, i)
 		}
-		if !specSeen[k][r.SpecHash] {
-			specSeen[k][r.SpecHash] = true
+		if !ga.specSeen[l.specHash] {
+			ga.specSeen[l.specHash] = true
 			g.SpecHashes++
-			if r.TraceID != "" && len(g.ExemplarTraces) < maxGroupExemplars {
-				g.ExemplarTraces = append(g.ExemplarTraces, r.TraceID)
+			if len(g.ExemplarTraces) < maxGroupExemplars {
+				if id := t.traceID(r); id != "" {
+					g.ExemplarTraces = append(g.ExemplarTraces, id)
+				}
 			}
 		}
 	}
 
-	for k, g := range groups {
-		if len(stageAggs[k]) > 0 {
-			g.Stages = map[string]StageStats{}
-			for stage, sa := range stageAggs[k] {
-				g.Stages[stage] = sa.stats()
+	for _, ga := range groups {
+		for name, sa := range ga.stages {
+			if ga.g.Stages == nil {
+				ga.g.Stages = map[string]StageStats{}
 			}
+			ga.g.Stages[t.names.vals[name]] = sa.stats(&t)
 		}
-		agg.Groups = append(agg.Groups, g)
+		agg.Groups = append(agg.Groups, ga.g)
 	}
 	sort.Slice(agg.Groups, func(i, j int) bool {
 		return agg.Groups[i].key() < agg.Groups[j].key()

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -395,5 +398,113 @@ func TestDiffAggregates(t *testing.T) {
 	// Identical fleets: no drift at all.
 	if d := DiffAggregates(aggA, aggA, 0.0); len(d) != 0 {
 		t.Errorf("self-diff reported drifts: %+v", d)
+	}
+}
+
+// TestRollupRecordsRoundTrip: Records gives back exactly the records that
+// went in, whatever shape their fields take — hex and non-hex trace IDs,
+// nil and empty stage maps, zero and far-off times.
+func TestRollupRecordsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
+	moment := func() time.Time {
+		switch rng.Intn(6) {
+		case 0:
+			return time.Time{}
+		case 1:
+			return time.Date(1+rng.Intn(3000), 1, 1, 0, 0, 0, rng.Intn(1e9), time.FixedZone("x", 3600))
+		default:
+			return time.Unix(1700000000+rng.Int63n(1e6), rng.Int63n(1e9))
+		}
+	}
+	var in []Record
+	for i := 0; i < 2000; i++ {
+		r := Record{
+			Schema: rng.Intn(3), RunID: rng.Int(), MemoSource: rng.Intn(100),
+			TraceID: pick("", "trace-7", fmt.Sprintf("%032x", rng.Uint64()),
+				fmt.Sprintf("%032X", rng.Uint64()|1<<63), fmt.Sprintf("%031x", rng.Uint64()),
+				fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64())),
+			SpecHash: pick("", "h1", fmt.Sprintf("%064x", rng.Intn(5))), ResultDigest: pick("", "d1", "d2"),
+			Workload: pick("olden.mst", "olden.health", ""), Config: pick("CPP", "BC"),
+			Compressor: pick("paper", "fpc"), Scale: rng.Intn(4), Functional: rng.Intn(2) == 0,
+			State: pick("done", "failed", "canceled", "weird"), Chaos: rng.Intn(2) == 0,
+			Panic: rng.Intn(2) == 0, Error: pick("", "boom"), Memoized: rng.Intn(2) == 0,
+			Created: moment(), Finished: moment(), GoMaxProcs: rng.Intn(9),
+			Intervals: rng.Int(), Instructions: rng.Int63(), L1Misses: rng.Int63() - 1<<62,
+			TrafficWords: rng.NormFloat64() * 1e6,
+		}
+		switch rng.Intn(3) {
+		case 0:
+		case 1:
+			r.StageSeconds = map[string]float64{}
+		default:
+			r.StageSeconds = map[string]float64{}
+			for _, name := range []string{"run", "queue", "execute", "sim.run", "odd\x00name"} {
+				if rng.Intn(2) == 0 {
+					r.StageSeconds[name] = rng.ExpFloat64()
+				}
+			}
+		}
+		in = append(in, r)
+	}
+	ro := NewRollup()
+	ro.AddAll(in[:500])
+	for _, r := range in[500:] {
+		ro.Add(r)
+	}
+	out := ro.Records()
+	if len(out) != len(in) || ro.Len() != len(in) {
+		t.Fatalf("Records() has %d, Len() %d, want %d", len(out), ro.Len(), len(in))
+	}
+	for i := range in {
+		want, got := in[i], out[i]
+		if !got.Created.Equal(want.Created) || !got.Finished.Equal(want.Finished) {
+			t.Fatalf("record %d: times %v/%v, want %v/%v", i, got.Created, got.Finished, want.Created, want.Finished)
+		}
+		got.Created, got.Finished = want.Created, want.Finished
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %d round-tripped as\n%+v\nwant\n%+v", i, got, want)
+		}
+	}
+}
+
+// TestRollupRetainedBytes pins the rollup's memory per record: 10k
+// records shaped like the ones a server writes (fresh hex IDs, seven
+// lifecycle stages) must retain at most 192 bytes each once the inputs
+// are garbage.
+func TestRollupRetainedBytes(t *testing.T) {
+	const n = 10_000
+	stages := []string{"run", "queue", "execute", "workload.build", "sim.build", "sim.run", "sim.finish"}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ro := NewRollup()
+	t0 := time.Unix(1700000000, 0)
+	for i := 0; i < n; i++ {
+		spec := i % 12
+		rec := Record{
+			Schema: SchemaVersion, RunID: i + 1,
+			TraceID:      fmt.Sprintf("%016x%016x", uint64(i)*0x9e3779b97f4a7c15, uint64(i)),
+			SpecHash:     fmt.Sprintf("%064x", spec),
+			ResultDigest: fmt.Sprintf("%063x%x", spec, 1),
+			Workload:     "olden.mst", Config: []string{"BC", "CPP", "BCC"}[spec%3], Compressor: "paper",
+			Scale: 1, Functional: true, State: "done",
+			Created: t0.Add(time.Duration(i) * time.Millisecond), Finished: t0.Add(time.Duration(i)*time.Millisecond + 40*time.Millisecond),
+			GoMaxProcs:   2,
+			StageSeconds: map[string]float64{},
+			Intervals:    16, Instructions: 1_000_000 + int64(i), L1Misses: 50_000, TrafficWords: 200_000,
+		}
+		for j, s := range stages {
+			rec.StageSeconds[s] = float64(i+j) * 1e-6
+		}
+		ro.Add(rec)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(ro)
+	t.Logf("%d bytes retained per record", per)
+	if per > 192 {
+		t.Fatalf("rollup retains %d bytes per record, want <= 192", per)
 	}
 }
