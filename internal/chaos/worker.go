@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -50,53 +51,85 @@ type WorkerDisruptor struct {
 	spec WorkerSpec
 
 	requests atomic.Int64
-	dead     atomic.Bool
 
 	mu    sync.Mutex
 	fired []string
+	// alive is canceled by Kill and renewed by Revive. Every request runs
+	// under a context tied to the alive it arrived under, so a kill
+	// reaches the requests in flight as well as the ones to come.
+	alive context.Context
+	kill  context.CancelFunc
 }
 
 // NewWorkerDisruptor builds a disruptor for spec (which should already
 // have been Validated).
 func NewWorkerDisruptor(spec WorkerSpec) *WorkerDisruptor {
-	return &WorkerDisruptor{spec: spec}
+	d := &WorkerDisruptor{spec: spec}
+	d.alive, d.kill = context.WithCancel(context.Background())
+	return d
 }
 
 // Wrap returns next decorated with the disruptor's faults. A dead worker
 // aborts every request with http.ErrAbortHandler, which makes net/http
 // sever the connection mid-response — the client observes the same
 // "connection reset / unexpected EOF" failure mode as a kill -9 of the
-// worker process, without taking down the test's process.
+// worker process, without taking down the test's process. A request in
+// flight when the worker dies is severed too: its context is canceled,
+// and its response is aborted once the handler returns.
 func (d *WorkerDisruptor) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := d.requests.Add(1)
 		if d.spec.KillAfter > 0 && n >= d.spec.KillAfter {
-			d.dead.Store(true)
+			d.Kill()
 		}
-		if d.dead.Load() {
-			d.record(fmt.Sprintf("kill@%s#%d", r.URL.Path, n))
-			panic(http.ErrAbortHandler)
+		d.mu.Lock()
+		alive := d.alive
+		d.mu.Unlock()
+		sever := func() {
+			if alive.Err() != nil {
+				d.record(fmt.Sprintf("kill@%s#%d", r.URL.Path, n))
+				panic(http.ErrAbortHandler)
+			}
 		}
+		sever()
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		defer context.AfterFunc(alive, cancel)()
 		if n == d.spec.StallAfter && d.spec.StallMs > 0 {
 			d.record(fmt.Sprintf("stall@%s#%d", r.URL.Path, n))
 			select {
 			case <-time.After(time.Duration(d.spec.StallMs) * time.Millisecond):
-			case <-r.Context().Done():
+			case <-ctx.Done():
 			}
 		}
-		next.ServeHTTP(w, r)
+		next.ServeHTTP(w, r.WithContext(ctx))
+		sever()
 	})
 }
 
-// Kill marks the worker dead immediately; every subsequent request is
-// severed.
-func (d *WorkerDisruptor) Kill() { d.dead.Store(true) }
+// Kill marks the worker dead immediately: every request in flight and
+// every subsequent one is severed.
+func (d *WorkerDisruptor) Kill() {
+	d.mu.Lock()
+	d.kill()
+	d.mu.Unlock()
+}
 
 // Revive brings a killed worker back, for tests exercising recovery.
-func (d *WorkerDisruptor) Revive() { d.dead.Store(false) }
+func (d *WorkerDisruptor) Revive() {
+	d.mu.Lock()
+	if d.alive.Err() != nil {
+		d.alive, d.kill = context.WithCancel(context.Background())
+	}
+	d.mu.Unlock()
+}
 
 // Dead reports whether the worker is currently severing requests.
-func (d *WorkerDisruptor) Dead() bool { return d.dead.Load() }
+func (d *WorkerDisruptor) Dead() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.alive.Err() != nil
+}
 
 // Requests returns how many requests the worker has received (including
 // severed ones).

@@ -1,11 +1,15 @@
 package chaos
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestWorkerSpecValidate(t *testing.T) {
@@ -115,5 +119,64 @@ func TestWorkerDisruptorOutOfBandKill(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("post-Revive status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestWorkerDisruptorKillSeversInFlight: a request already inside the
+// handler when Kill() fires dies with the worker. Its context is
+// canceled, and the client sees a transport error, not the response the
+// handler writes on its way out — exactly what a kill -9 does to an open
+// long-poll.
+func TestWorkerDisruptorKillSeversInFlight(t *testing.T) {
+	d := NewWorkerDisruptor(WorkerSpec{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	ts := httptest.NewServer(d.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		select {
+		case <-r.Context().Done():
+		case <-release: // the test is over; let Close finish
+		}
+		io.WriteString(w, "answered after the kill")
+	})))
+	defer ts.Close()
+	defer close(release)
+
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := client.Get(ts.URL)
+		if err == nil {
+			_, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err == nil {
+				err = fmt.Errorf("status %d with a full body", resp.StatusCode)
+			}
+			err = fmt.Errorf("in-flight request survived the kill: %w", err)
+			errc <- err
+			return
+		}
+		errc <- nil
+	}()
+
+	<-entered
+	d.Kill()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("in-flight request still open 5s after Kill")
+	}
+
+	// Revive re-arms the disruptor: a new request blocked on its context
+	// stays open until the client gives up.
+	d.Revive()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	entered = make(chan struct{})
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL, nil)
+	if _, err := client.Do(req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("request after Revive: err %v, want the client's own deadline", err)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -47,7 +48,6 @@ const (
 	DefaultProbeInterval  = time.Second
 	DefaultCallTimeout    = 5 * time.Second
 	DefaultAttemptTimeout = 2 * time.Minute
-	DefaultPollInterval   = 50 * time.Millisecond
 	DefaultMaxAttempts    = 4
 )
 
@@ -62,13 +62,12 @@ type Config struct {
 	// Negative disables background probing (placement still marks workers
 	// down on connection errors).
 	ProbeInterval time.Duration
-	// CallTimeout bounds each individual HTTP call.
+	// CallTimeout bounds each individual HTTP call. A status long-poll
+	// asks the worker to answer within half of it.
 	CallTimeout time.Duration
-	// AttemptTimeout bounds one full placement attempt (launch + poll to
+	// AttemptTimeout bounds one full placement attempt (launch + wait to
 	// terminal) before the run is re-placed elsewhere.
 	AttemptTimeout time.Duration
-	// PollInterval is the status-poll cadence while a run executes.
-	PollInterval time.Duration
 	// MaxAttempts bounds placements per run (first try included).
 	MaxAttempts int
 	// Backoff is the retry schedule between placement attempts.
@@ -92,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = DefaultAttemptTimeout
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = DefaultPollInterval
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
@@ -156,25 +152,7 @@ func (e *errConn) Unwrap() error { return e.err }
 // worker is one tier member's runtime state.
 type worker struct {
 	url string
-
-	mu   sync.Mutex
-	up   bool
-	seen time.Time // last successful contact (probe or call)
-}
-
-func (w *worker) setUp(up bool) {
-	w.mu.Lock()
-	w.up = up
-	if up {
-		w.seen = time.Now()
-	}
-	w.mu.Unlock()
-}
-
-func (w *worker) isUp() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.up
+	up  atomic.Bool
 }
 
 // vnode is one virtual node on the consistent-hash ring.
@@ -214,7 +192,9 @@ func New(cfg Config) (*Coordinator, error) {
 			continue
 		}
 		seen[u] = true
-		c.workers = append(c.workers, &worker{url: u, up: true})
+		w := &worker{url: u}
+		w.up.Store(true)
+		c.workers = append(c.workers, w)
 	}
 	if len(c.workers) == 0 {
 		return nil, errors.New("fabric: no usable worker URLs")
@@ -290,7 +270,7 @@ func (c *Coordinator) pick(candidates []int, attempt int) *worker {
 	healthy := make([]int, 0, len(candidates))
 	down := make([]int, 0, len(candidates))
 	for _, idx := range candidates {
-		if c.workers[idx].isUp() {
+		if c.workers[idx].up.Load() {
 			healthy = append(healthy, idx)
 		} else {
 			down = append(down, idx)
@@ -325,23 +305,23 @@ func (c *Coordinator) probeLoop() {
 			cancel()
 			if !up {
 				c.probeFailures.Add(1)
-				if w.isUp() {
+				if w.up.Load() {
 					c.cfg.Log.Warn("fabric: worker probe failed", "worker", w.url, "err", err)
 				}
 			}
-			w.setUp(up)
+			w.up.Store(up)
 		}
 	}
 }
 
 // Execute places one spec-hash-addressed run on the tier and drives it to
 // a terminal outcome. The spec JSON is POSTed verbatim to the chosen
-// worker's /runs, then polled to completion. Worker loss mid-run (launch
-// or poll connection failures) re-places the run on the next worker in
-// ring order after a jittered backoff, up to MaxAttempts placements;
-// every re-placement increments the retries counter. Permanent rejections
-// (400) fail immediately. Context cancellation cancels the remote run
-// best-effort and returns ctx.Err().
+// worker's /runs, then long-polled to completion. Worker loss mid-run
+// (launch or status-call connection failures) re-places the run on the
+// next worker in ring order after a jittered backoff, up to MaxAttempts
+// placements; every re-placement increments the retries counter.
+// Permanent rejections (400) fail immediately. Context cancellation
+// cancels the remote run best-effort and returns ctx.Err().
 func (c *Coordinator) Execute(ctx context.Context, specHash string, specJSON []byte) (Outcome, error) {
 	candidates := c.candidates(specHash)
 	bo := backoff.New(c.cfg.Backoff, int64(fnv64(specHash)))
@@ -366,7 +346,7 @@ func (c *Coordinator) Execute(ctx context.Context, specHash string, specJSON []b
 		o, err := c.runOn(ctx, w, specJSON)
 		o.Attempts = attempt + 1
 		if err == nil {
-			w.setUp(true)
+			w.up.Store(true)
 			return o, nil
 		}
 		out = o
@@ -381,7 +361,7 @@ func (c *Coordinator) Execute(ctx context.Context, specHash string, specJSON []b
 		}
 		var ce *errConn
 		if errors.As(err, &ce) {
-			w.setUp(false)
+			w.up.Store(false)
 			c.cfg.Log.Warn("fabric: worker lost; re-placing run", "worker", w.url,
 				"attempt", attempt+1, "err", err)
 		} else {
@@ -393,8 +373,11 @@ func (c *Coordinator) Execute(ctx context.Context, specHash string, specJSON []b
 	return out, fmt.Errorf("fabric: run not placed after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
 }
 
-// runOn performs one placement attempt on one worker: launch, then poll
-// to terminal within the attempt timeout.
+// runOn performs one placement attempt on one worker: launch, then
+// long-poll the status to terminal within the attempt timeout. Each
+// status call asks the worker to hold it until the run is terminal or
+// half the call timeout has passed, so a live worker answers well inside
+// the call bound and a frozen one fails the call.
 func (c *Coordinator) runOn(ctx context.Context, w *worker, specJSON []byte) (Outcome, error) {
 	out := Outcome{Worker: w.url}
 	attemptCtx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
@@ -406,14 +389,14 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, specJSON []byte) (Ou
 	}
 	out.RunID, out.TraceID = st.ID, st.TraceID
 
+	statusURL := fmt.Sprintf("%s/runs/%d?wait=%s", w.url, out.RunID, url.QueryEscape((c.cfg.CallTimeout / 2).String()))
 	consecutiveFailures := 0
 	for {
 		if st.State.Terminal() {
 			out.State, out.Error, out.Memoized, out.Result = string(st.State), st.Error, st.Memoized, st.Result
 			return out, nil
 		}
-		select {
-		case <-attemptCtx.Done():
+		if attemptCtx.Err() != nil {
 			if ctx.Err() != nil {
 				// The caller canceled: tell the worker to stop, best-effort.
 				c.cancelRemote(w, out.RunID)
@@ -423,10 +406,12 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, specJSON []byte) (Ou
 			// Attempt timeout: the worker may be wedged; re-place. The
 			// abandoned run is harmless — deterministic, and the worker's own
 			// supervision bounds it.
-			return out, &errConn{err: fmt.Errorf("attempt timeout after %v polling run %d", c.cfg.AttemptTimeout, out.RunID)}
-		case <-time.After(c.cfg.PollInterval):
+			return out, &errConn{err: fmt.Errorf("attempt timeout after %v waiting on run %d", c.cfg.AttemptTimeout, out.RunID)}
 		}
-		st, err = c.call(attemptCtx, http.MethodGet, fmt.Sprintf("%s/runs/%d", w.url, out.RunID), nil)
+		st, err = c.call(attemptCtx, http.MethodGet, statusURL, nil)
+		if err != nil && attemptCtx.Err() != nil {
+			continue // the call died with the attempt; the loop top says why
+		}
 		if err != nil {
 			var ce *errConn
 			if errors.As(err, &ce) {
@@ -531,7 +516,7 @@ func (c *Coordinator) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "# HELP cppserved_fabric_worker_up Worker health as seen by the coordinator (1 up, 0 down).\n# TYPE cppserved_fabric_worker_up gauge\n")
 	for _, wk := range c.workers {
 		up := 0
-		if wk.isUp() {
+		if wk.up.Load() {
 			up = 1
 		}
 		fmt.Fprintf(w, "cppserved_fabric_worker_up{worker=\"%s\"} %d\n", promEscape(wk.url), up)

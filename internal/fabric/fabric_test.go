@@ -79,7 +79,7 @@ func TestPickHealthyFirst(t *testing.T) {
 		t.Fatalf("all-healthy pick = %s, want ring head %s", got.url, c.workers[cand[0]].url)
 	}
 
-	c.workers[cand[0]].setUp(false)
+	c.workers[cand[0]].up.Store(false)
 	if got := c.pick(cand, 0); got.url == c.workers[cand[0]].url {
 		t.Fatal("pick chose the down worker while healthy ones remain")
 	}
@@ -91,7 +91,7 @@ func TestPickHealthyFirst(t *testing.T) {
 	}
 
 	for _, w := range c.workers {
-		w.setUp(false)
+		w.up.Store(false)
 	}
 	if got := c.pick(cand, 0); got == nil {
 		t.Fatal("pick returned nil with every worker down")

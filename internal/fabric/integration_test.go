@@ -53,7 +53,6 @@ func newWorkerTier(t *testing.T, n int) *tier {
 		ProbeInterval:  -1,
 		CallTimeout:    2 * time.Second,
 		AttemptTimeout: 30 * time.Second,
-		PollInterval:   2 * time.Millisecond,
 		MaxAttempts:    4,
 		Backoff:        backoff.Policy{Base: time.Millisecond, Cap: 4 * time.Millisecond, Factor: 2, Jitter: 0},
 		Client:         &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
@@ -146,10 +145,10 @@ func TestExecuteRetriesOnWorkerLoss(t *testing.T) {
 	}
 }
 
-// TestExecuteSurvivesMidRunKill: the worker dies while the coordinator is
-// polling an in-flight run (launch succeeded, then the connection starts
-// severing). Two consecutive poll failures must re-place the run from
-// scratch on the survivor.
+// TestExecuteSurvivesMidRunKill: the worker dies while the coordinator
+// holds a status long-poll open on an in-flight run (launch succeeded,
+// then the connections sever). Two consecutive status-call failures must
+// re-place the run from scratch on the survivor.
 func TestExecuteSurvivesMidRunKill(t *testing.T) {
 	// The run stalls 400ms mid-execution, guaranteeing the kill lands
 	// between launch and completion.
@@ -165,7 +164,7 @@ func TestExecuteSurvivesMidRunKill(t *testing.T) {
 	}()
 
 	// Kill whichever worker the run landed on once it has served the
-	// launch plus at least one status poll.
+	// launch and received the status long-poll.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		killed := false
@@ -194,6 +193,32 @@ func TestExecuteSurvivesMidRunKill(t *testing.T) {
 	}
 	if tr.coord.Retries() < 1 {
 		t.Fatalf("retries %d, want >= 1", tr.coord.Retries())
+	}
+}
+
+// TestExecuteLongPollRequestCount: a run shorter than half the call
+// timeout costs its worker exactly one launch and one status call — the
+// coordinator waits on the worker instead of polling it on a timer.
+func TestExecuteLongPollRequestCount(t *testing.T) {
+	// The stall keeps the run non-terminal at launch and well inside the
+	// 1s status wait (CallTimeout/2).
+	spec := []byte(`{"workload":"mst","config":"CPP","functional":true,"scale":1,"chaos":{"stall_after":1,"stall_ms":200}}`)
+	tr := newWorkerTier(t, 2)
+	out, err := tr.coord.Execute(context.Background(), "one-wait", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.State != "done" || out.Attempts != 1 {
+		t.Fatalf("outcome state %s attempts %d, want done on the first attempt", out.State, out.Attempts)
+	}
+	for _, url := range tr.urls {
+		want := int64(0)
+		if url == out.Worker {
+			want = 2 // POST /runs + one GET /runs/{id}?wait=
+		}
+		if got := tr.dis[url].Requests(); got != want {
+			t.Errorf("worker %s served %d requests, want %d", url, got, want)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func (g *Registry) recordTerminal(run *Run) {
 	// determinism violation worth shouting about.
 	if g.memo != nil && state == StateDone && !memoized && run.Spec.Chaos == nil &&
 		res != nil && rec.ResultDigest != "" && rec.SpecHash != "" {
-		snaps, from, _, _ := run.SnapsFrom(0)
+		snaps, from := run.SnapsFrom(0)
 		drift := g.memo.store(&memoEntry{
 			specHash:    rec.SpecHash,
 			runID:       run.ID,

@@ -496,7 +496,7 @@ func TestTerminalStateFollowsRecords(t *testing.T) {
 		out := make(chan bool, 1)
 		go func() {
 			for {
-				_, _, state, changed := run.SnapsFrom(0)
+				state, changed := run.wait()
 				if state.Terminal() {
 					out <- recorded(run.ID)
 					return

@@ -105,6 +105,104 @@ func TestCancelRunningRun(t *testing.T) {
 	}
 }
 
+// getStatus issues GET on a run-status URL and returns the body and how
+// long the answer took.
+func getStatus(t *testing.T, url string) (string, time.Duration) {
+	t.Helper()
+	t0 := time.Now()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	return body, time.Since(t0)
+}
+
+// TestRunStatusLongPoll: GET /runs/{id}?wait= answers at once for a
+// terminal run, on the terminal transition for a live one, with the
+// still-live status when the wait runs out, and exactly like a plain GET
+// when the wait is missing, malformed or not positive.
+func TestRunStatusLongPoll(t *testing.T) {
+	ts, _, _ := newServerWith(t, Config{AllowChaos: true})
+	stalled := launch(t, ts, stallSpec(""))
+	waitState(t, ts, stalled.ID, StateRunning)
+	stalledURL := fmt.Sprintf("%s/runs/%d", ts.URL, stalled.ID)
+
+	t.Run("malformed waits are a plain GET", func(t *testing.T) {
+		for _, q := range []string{"", "?wait=", "?wait=abc", "?wait=10", "?wait=0", "?wait=-1s"} {
+			got, took := getStatus(t, stalledURL+q)
+			plain, _ := getStatus(t, stalledURL)
+			if got != plain {
+				t.Errorf("%q: body differs from a plain GET:\n%s\nvs\n%s", q, got, plain)
+			}
+			if took > 2*time.Second {
+				t.Errorf("%q: answered after %v, want at once", q, took)
+			}
+		}
+	})
+
+	t.Run("expired wait answers non-terminal", func(t *testing.T) {
+		body, took := getStatus(t, stalledURL+"?wait=150ms")
+		var st RunStatus
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateRunning {
+			t.Errorf("state %s after an expired wait, want running", st.State)
+		}
+		if took < 150*time.Millisecond {
+			t.Errorf("answered after %v, before the 150ms wait ran out", took)
+		}
+	})
+
+	t.Run("DELETE ends the wait", func(t *testing.T) {
+		t0 := time.Now()
+		done := make(chan *http.Response, 1)
+		go func() {
+			resp, _ := http.Get(stalledURL + "?wait=20s") // nil on error
+			done <- resp
+		}()
+		time.Sleep(50 * time.Millisecond)
+		select {
+		case <-done:
+			t.Fatal("long-poll answered before the run turned terminal")
+		default:
+		}
+		if code := del(t, ts, stalled.ID); code != http.StatusAccepted {
+			t.Fatalf("DELETE: status %d, want 202", code)
+		}
+		resp := <-done
+		if resp == nil {
+			t.Fatal("long-poll GET failed")
+		}
+		took := time.Since(t0)
+		var st RunStatus
+		if err := json.Unmarshal([]byte(readAll(t, resp)), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateCanceled {
+			t.Errorf("state %s, want canceled", st.State)
+		}
+		if took > 10*time.Second {
+			t.Errorf("answered after %v, want soon after the DELETE", took)
+		}
+	})
+
+	t.Run("terminal run answers at once", func(t *testing.T) {
+		got, took := getStatus(t, stalledURL+"?wait=20s")
+		plain, _ := getStatus(t, stalledURL)
+		if got != plain {
+			t.Errorf("body differs from a plain GET:\n%s\nvs\n%s", got, plain)
+		}
+		if took > 2*time.Second {
+			t.Errorf("answered after %v, want at once", took)
+		}
+	})
+}
+
 // TestCancelWhileQueued: with one worker slot occupied by a stalled run,
 // a queued run can be canceled before it ever starts; the stalled run is
 // then canceled too and the queue drains.
@@ -315,7 +413,7 @@ func TestChaosNeighbourDoesNotPerturbHealthyRun(t *testing.T) {
 		t.Errorf("healthy run result diverged from solo baseline\n  solo: %+v\n  got:  %+v", baseRes, final.Result)
 	}
 	run, _ := reg.Get(good.ID)
-	snaps, from, _, _ := run.SnapsFrom(0)
+	snaps, from := run.SnapsFrom(0)
 	if from != 0 {
 		t.Fatalf("healthy run lost snapshots: base %d", from)
 	}

@@ -1145,11 +1145,18 @@ func (r *Run) Profile() (text, collapsed string) {
 	return r.attrText, r.attrColl
 }
 
-// SnapsFrom returns a copy of the retained snapshots at ordinal >= i, the
-// ordinal of the first returned snapshot (> i exactly when the ring has
-// dropped the requested prefix), the current state, and a channel that is
-// closed on the next change.
-func (r *Run) SnapsFrom(i int) (snaps []obs.Snapshot, from int, state RunState, changed <-chan struct{}) {
+// wait returns the run's state and a channel closed on its next change,
+// copying nothing: the waiter's loop for "until terminal".
+func (r *Run) wait() (state RunState, changed <-chan struct{}) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state, r.changed
+}
+
+// SnapsFrom returns a copy of the retained snapshots at ordinal >= i and
+// the ordinal of the first returned snapshot (> i exactly when the ring
+// has dropped the requested prefix). Waiters for the next change use wait.
+func (r *Run) SnapsFrom(i int) (snaps []obs.Snapshot, from int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	from = i
@@ -1163,5 +1170,5 @@ func (r *Run) SnapsFrom(i int) (snaps []obs.Snapshot, from int, state RunState, 
 			snaps = append(snaps, r.snaps[(r.snapHead+(ord-r.snapBase))%len(r.snaps)])
 		}
 	}
-	return snaps, from, r.state, r.changed
+	return snaps, from
 }

@@ -8,6 +8,7 @@
 //	                           bypasses spec-hash memoization for this run)
 //	GET    /runs               list runs (?state= filter; created-time order)
 //	GET    /runs/{id}          one run's status, totals and final result
+//	                           (?wait=<duration> long-polls until terminal)
 //	DELETE /runs/{id}          cancel a queued or running job
 //	GET    /runs/{id}/stream   SSE: replay + follow the interval snapshots
 //	GET    /runs/{id}/profile  attribution profile (text or collapsed stacks)
@@ -261,11 +262,35 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// handleRun is GET /runs/{id}.
+// maxStatusWait caps how long GET /runs/{id}?wait= holds a request open.
+const maxStatusWait = 30 * time.Second
+
+// handleRun is GET /runs/{id}. ?wait=<Go duration> long-polls: the
+// answer comes when the run turns terminal, the wait (capped at
+// maxStatusWait) elapses, or the client goes away, whichever is first.
+// A missing, unparsable or non-positive wait answers at once.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.runFromPath(w, r)
 	if !ok {
 		return
+	}
+	if d, err := time.ParseDuration(r.URL.Query().Get("wait")); err == nil && d > 0 {
+		timer := time.NewTimer(min(d, maxStatusWait))
+		defer timer.Stop()
+	wait:
+		for {
+			state, changed := run.wait()
+			if state.Terminal() {
+				break
+			}
+			select {
+			case <-changed:
+			case <-timer.C:
+				break wait
+			case <-r.Context().Done():
+				break wait
+			}
+		}
 	}
 	writeJSON(w, run.Status())
 }
@@ -424,7 +449,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	next := 0
 	emitFrom := func(next int) (int, bool) {
-		snaps, from, _, _ := run.SnapsFrom(next)
+		snaps, from := run.SnapsFrom(next)
 		if from > next {
 			stream.Event("gap",
 				span.Int("from", int64(next)),
@@ -462,7 +487,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if next, live = emitFrom(next); !live {
 			return
 		}
-		_, _, state, changed := run.SnapsFrom(next)
+		state, changed := run.wait()
 		if state.Terminal() {
 			// Drain any snapshots that landed between the emit and the
 			// terminal-state observation before closing.

@@ -536,7 +536,7 @@ func (g *Registry) runSweepChildLocal(ctx context.Context, sw *Sweep, ch *sweepC
 	})
 
 	for {
-		_, _, state, changed := run.SnapsFrom(0)
+		state, changed := run.wait()
 		if state.Terminal() {
 			break
 		}
